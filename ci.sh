@@ -24,6 +24,14 @@ cargo clippy -p bas-analysis -p bas-faults -p bas-fleet -p bas-traffic --all-tar
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark self-tests (perfbench: digests traced vs untraced, 1 vs 2 workers) =="
+# perfbench is its own cargo workspace, so the workspace test run above
+# does not reach it; its self-tests check that every workload's report
+# digest (fleet and traffic JSON renders included) is stable across
+# traced/untraced passes and worker counts, and that injected defects
+# are caught.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== experiment smoke (every exp_* binary, --quick) =="
 cargo build -q --release -p bas-bench
 for bin in crates/bench/src/bin/exp_*.rs; do

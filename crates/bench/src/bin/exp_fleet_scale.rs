@@ -452,48 +452,38 @@ fn main() {
         println!("4-worker speedup check skipped ({cores} cores available)");
     }
 
-    h.write_json(&Json::obj(vec![
-        ("schema", Json::Str("bas-fleet-scale/v3".into())),
-        ("platform", Json::Str(platform.to_string())),
-        ("horizon_s", Json::Num(horizon.as_secs_f64())),
-        ("cores", Json::UInt(cores as u64)),
-        (
-            "ipc_hot_path",
-            Json::obj(vec![
-                ("messages", Json::UInt(hot_messages)),
-                ("wall_seconds", Json::Num(hot_wall)),
-                ("messages_per_second", Json::Num(hot_rate)),
-                ("heap_events", Json::UInt(hot_heap_events)),
-            ]),
-        ),
-        (
-            "boot",
-            Json::obj(vec![
-                ("fleet_instances", Json::UInt(boot_instances as u64)),
-                ("cold_instances", Json::UInt(cold_iters as u64)),
-                ("cold_boot_instances_per_sec", Json::Num(cold_rate)),
-                ("cold_bytes_per_instance", Json::Num(cold_bpi)),
-                ("boot_instances_per_sec", Json::Num(boot_rate)),
-                ("bytes_per_instance", Json::Num(snap_bpi)),
-                ("boot_speedup", Json::Num(boot_speedup)),
-                ("bytes_ratio", Json::Num(bytes_ratio)),
-                ("materialized", Json::UInt(instance_pool.materialized())),
-                ("recycled", Json::UInt(instance_pool.recycled())),
-            ]),
-        ),
-        (
-            "fleet_ipc_messages_per_wall_second",
-            Json::Num(fleet_rate_1w),
-        ),
-        (
-            "speedup_2_workers",
-            if speedup_2w.is_nan() {
-                Json::Null
-            } else {
-                Json::Num(speedup_2w)
-            },
-        ),
-        ("sweep", Json::Arr(sweep)),
-        ("largest_fleet_report", report.to_json_value()),
-    ]));
+    let ipc_hot_path = Json::obj(vec![
+        ("messages", Json::UInt(hot_messages)),
+        ("wall_seconds", Json::Num(hot_wall)),
+        ("messages_per_second", Json::Num(hot_rate)),
+        ("heap_events", Json::UInt(hot_heap_events)),
+    ]);
+    let boot = Json::obj(vec![
+        ("fleet_instances", Json::UInt(boot_instances as u64)),
+        ("cold_instances", Json::UInt(cold_iters as u64)),
+        ("cold_boot_instances_per_sec", Json::Num(cold_rate)),
+        ("cold_bytes_per_instance", Json::Num(cold_bpi)),
+        ("boot_instances_per_sec", Json::Num(boot_rate)),
+        ("bytes_per_instance", Json::Num(snap_bpi)),
+        ("boot_speedup", Json::Num(boot_speedup)),
+        ("bytes_ratio", Json::Num(bytes_ratio)),
+        ("materialized", Json::UInt(instance_pool.materialized())),
+        ("recycled", Json::UInt(instance_pool.recycled())),
+    ]);
+    h.write_json_with(|w| {
+        w.obj(|w| {
+            w.key("schema").str("bas-fleet-scale/v3");
+            w.key("platform").str(&platform.to_string());
+            w.key("horizon_s").num(horizon.as_secs_f64());
+            w.key("cores").uint(cores as u64);
+            w.key("ipc_hot_path").json(&ipc_hot_path);
+            w.key("boot").json(&boot);
+            w.key("fleet_ipc_messages_per_wall_second")
+                .num(fleet_rate_1w);
+            // NaN (no 2-worker run) writes `null`.
+            w.key("speedup_2_workers").num(speedup_2w);
+            w.key("sweep").json(&Json::Arr(sweep));
+            report.write_json(w.key("largest_fleet_report"));
+        });
+    });
 }

@@ -172,18 +172,18 @@ fn main() {
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    h.write_json(&Json::obj(vec![
-        ("schema", Json::Str("bas-traffic-scale/v1".into())),
-        ("platform", Json::Str(platform.to_string())),
-        ("cores", Json::UInt(cores as u64)),
-        ("instances", Json::UInt(instances as u64)),
-        ("horizon_s", Json::Num(config.horizon.as_secs_f64())),
-        ("requests_per_wall_second", Json::Num(rate)),
-        (
-            "ipc_messages_per_wall_second",
-            Json::Num(run.wall.benign.ipc_messages_per_wall_second),
-        ),
-        ("sweep", Json::Arr(sweep)),
-        ("report", report.to_json_value()),
-    ]));
+    h.write_json_with(|w| {
+        w.obj(|w| {
+            w.key("schema").str("bas-traffic-scale/v1");
+            w.key("platform").str(&platform.to_string());
+            w.key("cores").uint(cores as u64);
+            w.key("instances").uint(instances as u64);
+            w.key("horizon_s").num(config.horizon.as_secs_f64());
+            w.key("requests_per_wall_second").num(rate);
+            w.key("ipc_messages_per_wall_second")
+                .num(run.wall.benign.ipc_messages_per_wall_second);
+            w.key("sweep").json(&Json::Arr(sweep));
+            report.write_json(w.key("report"));
+        });
+    });
 }

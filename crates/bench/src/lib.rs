@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use bas_core::engine::PlatformKernel;
 use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
 use bas_core::{boot_platform, ScenarioEngine};
-use bas_fleet::Json;
+use bas_fleet::{Json, JsonWriter};
 
 /// Shared plumbing for every `exp_*` binary.
 ///
@@ -158,8 +158,16 @@ impl Harness {
     /// Unconditionally writes `BENCH_<name>.json` in the current
     /// directory (for experiments whose artifact *is* the JSON).
     pub fn write_json(&self, value: &Json) -> PathBuf {
+        self.write_json_with(|w| w.json(value))
+    }
+
+    /// Like [`Harness::write_json`], for experiments that stream their
+    /// document through the writer: `body` writes one top-level value.
+    pub fn write_json_with(&self, body: impl FnOnce(&mut JsonWriter)) -> PathBuf {
+        let mut w = JsonWriter::new();
+        body(&mut w);
         let path = PathBuf::from(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, value.render()).expect("write benchmark JSON");
+        std::fs::write(&path, w.finish()).expect("write benchmark JSON");
         println!("\nwrote {}", path.display());
         path
     }

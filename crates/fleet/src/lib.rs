@@ -22,10 +22,11 @@
 //!   in struct-of-arrays layout,
 //! - [`engine`] — [`engine::FleetConfig`], [`engine::run_fleet`], and
 //!   the one-shot [`engine::run_cells`] executor,
-//! - [`report`] — [`FleetReport`] and friends, with hand-rolled
+//! - [`report`] — [`FleetReport`] and friends, each writing its own
 //!   deterministic JSON,
-//! - [`json`] — the tiny ordered JSON writer the reports (and
-//!   `bas-bench`) serialize through.
+//! - [`json`] — [`JsonWriter`], the one streaming JSON formatter every
+//!   report (and `bas-bench`) serializes through, and the [`Json`] tree
+//!   for small reports.
 //!
 //! ```no_run
 //! use bas_core::scenario::Platform;
@@ -50,7 +51,7 @@ pub use engine::{
     FleetRun, WallStats, DEFAULT_MAX_RESIDENT,
 };
 pub use instances::InstancePool;
-pub use json::Json;
+pub use json::{Json, JsonWriter};
 pub use pool::WorkerPool;
 pub use report::{FleetReport, FleetTotals, InstanceReport, LatencyHistogram, RequestStats};
 pub use seed::instance_seed;

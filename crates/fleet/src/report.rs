@@ -12,7 +12,7 @@ use bas_core::scenario::{PlantSnapshot, Platform};
 use bas_sim::metrics::KernelMetrics;
 use serde::{Deserialize, Serialize};
 
-use crate::json::Json;
+use crate::json::JsonWriter;
 
 /// A fixed-width histogram of latencies, seconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,9 +23,10 @@ pub struct LatencyHistogram {
     pub counts: Vec<u64>,
     /// Samples at or beyond the last bin edge.
     pub overflow: u64,
-    /// Non-finite samples (NaN/±inf) rejected by [`record`]: they carry
-    /// no latency information, so they are counted here and excluded
-    /// from `samples`, `sum_s`, and `max_s`.
+    /// Samples rejected by [`record`]: non-finite ones (NaN/±inf) and
+    /// negative ones (an effect observed before its cause). Neither
+    /// carries latency information, so they are counted here and
+    /// excluded from `samples`, `sum_s`, and `max_s`.
     ///
     /// [`record`]: LatencyHistogram::record
     pub invalid: u64,
@@ -59,19 +60,18 @@ impl LatencyHistogram {
 
     /// Records one latency sample.
     ///
-    /// Non-finite samples count only toward `invalid` — a NaN must not
-    /// masquerade as a slow request in `overflow`, and adding it to
-    /// `sum_s`/`max_s` would poison the mean and max forever. Negative
-    /// samples (clock-skew artifacts) clamp to bin 0 and contribute
-    /// zero latency to the sum, so `overflow` keeps its documented
+    /// Non-finite and negative samples count only toward `invalid` — a
+    /// NaN must not masquerade as a slow request in `overflow`, adding
+    /// it to `sum_s`/`max_s` would poison the mean and max forever, and
+    /// a negative latency breaks causality, so binning it as a fast
+    /// request would hide the fault. `overflow` keeps its documented
     /// meaning: at or beyond the last bin edge, nothing else.
     pub fn record(&mut self, latency_s: f64) {
-        if !latency_s.is_finite() {
+        if !latency_s.is_finite() || latency_s < 0.0 {
             self.invalid += 1;
             return;
         }
-        let v = latency_s.max(0.0);
-        let bin = v / self.bin_width_s;
+        let bin = latency_s / self.bin_width_s;
         if bin.is_finite() && (bin.floor() as usize) < self.counts.len() {
             self.counts[bin.floor() as usize] += 1;
         } else {
@@ -80,9 +80,9 @@ impl LatencyHistogram {
             self.overflow += 1;
         }
         self.samples += 1;
-        self.sum_s += v;
-        if v > self.max_s {
-            self.max_s = v;
+        self.sum_s += latency_s;
+        if latency_s > self.max_s {
+            self.max_s = latency_s;
         }
     }
 
@@ -134,20 +134,21 @@ impl LatencyHistogram {
         self.max_s
     }
 
-    /// The histogram as a [`Json`] tree (for embedding in reports).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("bin_width_s", Json::Num(self.bin_width_s)),
-            (
-                "counts",
-                Json::Arr(self.counts.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            ("overflow", Json::UInt(self.overflow)),
-            ("invalid", Json::UInt(self.invalid)),
-            ("samples", Json::UInt(self.samples)),
-            ("mean_s", Json::Num(self.mean_s())),
-            ("max_s", Json::Num(self.max_s)),
-        ])
+    /// Writes the histogram as a JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.key("bin_width_s").num(self.bin_width_s);
+            w.key("counts").arr(|w| {
+                for &c in &self.counts {
+                    w.uint(c);
+                }
+            });
+            w.key("overflow").uint(self.overflow);
+            w.key("invalid").uint(self.invalid);
+            w.key("samples").uint(self.samples);
+            w.key("mean_s").num(self.mean_s());
+            w.key("max_s").num(self.max_s);
+        });
     }
 }
 
@@ -156,7 +157,8 @@ impl LatencyHistogram {
 /// Latency is `completed - scheduled` per request — open-loop time in
 /// queue plus the RPC round trip — binned at sub-millisecond geometry
 /// ([`RequestStats::BIN_WIDTH_S`]) since kernel round trips sit far
-/// below the 30 s alarm-latency bins.
+/// below the 30 s alarm-latency bins. A request completed before it
+/// was scheduled counts as `invalid`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestStats {
     /// Requests completed (a response came back, ok or error).
@@ -201,23 +203,31 @@ impl RequestStats {
 
     /// Accounts a scenario's completed-request log; `None` when the
     /// instance logged nothing (so quiet fleets keep `requests: null`).
+    /// A sample completed before it was scheduled records a negative
+    /// latency, which the histogram counts as `invalid`.
     pub fn from_samples(samples: &[bas_core::logic::web::RequestSample]) -> Option<RequestStats> {
         if samples.is_empty() {
             return None;
         }
         let mut stats = RequestStats::new();
         for s in samples {
-            stats.push((s.completed - s.scheduled).as_secs_f64(), s.ok);
+            let latency_s = if s.completed >= s.scheduled {
+                (s.completed - s.scheduled).as_secs_f64()
+            } else {
+                -(s.scheduled - s.completed).as_secs_f64()
+            };
+            stats.push(latency_s, s.ok);
         }
         Some(stats)
     }
 
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("requests", Json::UInt(self.requests)),
-            ("ok", Json::UInt(self.ok)),
-            ("latency", self.latency.to_json()),
-        ])
+    /// Writes the accounting block as a JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.key("requests").uint(self.requests);
+            w.key("ok").uint(self.ok);
+            self.latency.write_json(w.key("latency"));
+        });
     }
 }
 
@@ -259,33 +269,24 @@ pub struct InstanceReport {
 }
 
 impl InstanceReport {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("index", Json::UInt(self.index as u64)),
-            ("seed", Json::UInt(self.seed)),
-            ("sim_seconds", Json::Num(self.sim_seconds)),
-            ("critical_alive", Json::Bool(self.critical_alive)),
-            ("metrics", metrics_to_json(&self.metrics)),
-            ("plant", plant_to_json(&self.plant)),
-        ];
-        fields.push((
-            "attack",
-            match &self.attack {
-                None => Json::Null,
-                Some(cell) => Json::obj(vec![
-                    ("mechanism_succeeded", Json::Bool(cell.mechanism_succeeded)),
-                    ("compromised", Json::Bool(cell.compromised)),
-                ]),
-            },
-        ));
-        fields.push((
-            "requests",
-            match &self.requests {
-                None => Json::Null,
-                Some(stats) => stats.to_json(),
-            },
-        ));
-        Json::obj(fields)
+    /// Writes the instance outcome as a JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.key("index").uint(self.index as u64);
+            w.key("seed").uint(self.seed);
+            w.key("sim_seconds").num(self.sim_seconds);
+            w.key("critical_alive").bool(self.critical_alive);
+            write_metrics(w.key("metrics"), &self.metrics);
+            write_plant(w.key("plant"), &self.plant);
+            w.key("attack").opt(self.attack.as_ref(), |w, cell| {
+                w.obj(|w| {
+                    w.key("mechanism_succeeded").bool(cell.mechanism_succeeded);
+                    w.key("compromised").bool(cell.compromised);
+                });
+            });
+            w.key("requests")
+                .opt(self.requests.as_ref(), |w, stats| stats.write_json(w));
+        });
     }
 }
 
@@ -323,25 +324,24 @@ pub struct FleetTotals {
 }
 
 impl FleetTotals {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("sim_seconds", Json::Num(self.sim_seconds)),
-            ("ipc_messages", Json::UInt(self.ipc_messages)),
-            ("ipc_bytes", Json::UInt(self.ipc_bytes)),
-            ("kernel_entries", Json::UInt(self.kernel_entries)),
-            ("context_switches", Json::UInt(self.context_switches)),
-            ("access_denied", Json::UInt(self.access_denied)),
-            ("processes_created", Json::UInt(self.processes_created)),
-            ("hot_path_allocs", Json::UInt(self.hot_path_allocs)),
-            ("ipc_waits", Json::UInt(self.ipc_waits)),
-            ("requests", Json::UInt(self.requests)),
-            ("requests_ok", Json::UInt(self.requests_ok)),
-            (
-                "safety_violations",
-                Json::UInt(self.safety_violations as u64),
-            ),
-            ("critical_losses", Json::UInt(self.critical_losses as u64)),
-        ])
+    /// Writes the totals as a JSON object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.key("sim_seconds").num(self.sim_seconds);
+            w.key("ipc_messages").uint(self.ipc_messages);
+            w.key("ipc_bytes").uint(self.ipc_bytes);
+            w.key("kernel_entries").uint(self.kernel_entries);
+            w.key("context_switches").uint(self.context_switches);
+            w.key("access_denied").uint(self.access_denied);
+            w.key("processes_created").uint(self.processes_created);
+            w.key("hot_path_allocs").uint(self.hot_path_allocs);
+            w.key("ipc_waits").uint(self.ipc_waits);
+            w.key("requests").uint(self.requests);
+            w.key("requests_ok").uint(self.requests_ok);
+            w.key("safety_violations")
+                .uint(self.safety_violations as u64);
+            w.key("critical_losses").uint(self.critical_losses as u64);
+        });
     }
 }
 
@@ -460,72 +460,73 @@ impl FleetReport {
     /// Renders the report as deterministic JSON (stable key order, stable
     /// float formatting, no wall-clock data).
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        // An instance without traffic renders to ~750 bytes; reserving
+        // up front spares a large fleet's buffer a copy at every growth.
+        let mut w = JsonWriter::with_capacity(1024 * self.per_instance.len());
+        self.write_json(&mut w);
+        w.finish()
     }
 
-    /// The report as a [`Json`] tree (for embedding in larger reports).
-    pub fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::Str("bas-fleet-report/v2".into())),
-            ("platform", Json::Str(self.platform.to_string())),
-            ("root_seed", Json::UInt(self.root_seed)),
-            ("instances", Json::UInt(self.instances as u64)),
-            (
-                "campaign",
-                match &self.campaign {
-                    None => Json::Null,
-                    Some(c) => Json::obj(vec![
-                        ("attack", Json::Str(c.attack.to_string())),
-                        ("attacker", Json::Str(c.attacker.to_string())),
-                        (
-                            "mechanism_succeeded",
-                            Json::UInt(c.mechanism_succeeded as u64),
-                        ),
-                        ("compromised", Json::UInt(c.compromised as u64)),
-                    ]),
-                },
-            ),
-            ("totals", self.totals.to_json()),
-            ("alarm_latency", self.alarm_latency.to_json()),
-            ("request_latency", self.request_latency.to_json()),
-            (
-                "per_instance",
-                Json::Arr(self.per_instance.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
+    /// Writes the report as a JSON object (for embedding in larger
+    /// reports).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.key("schema").str("bas-fleet-report/v2");
+            w.key("platform").str(&self.platform.to_string());
+            w.key("root_seed").uint(self.root_seed);
+            w.key("instances").uint(self.instances as u64);
+            w.key("campaign").opt(self.campaign.as_ref(), |w, c| {
+                w.obj(|w| {
+                    w.key("attack").str(&c.attack.to_string());
+                    w.key("attacker").str(&c.attacker.to_string());
+                    w.key("mechanism_succeeded")
+                        .uint(c.mechanism_succeeded as u64);
+                    w.key("compromised").uint(c.compromised as u64);
+                });
+            });
+            self.totals.write_json(w.key("totals"));
+            self.alarm_latency.write_json(w.key("alarm_latency"));
+            self.request_latency.write_json(w.key("request_latency"));
+            w.key("per_instance").arr(|w| {
+                for r in &self.per_instance {
+                    r.write_json(w);
+                }
+            });
+        });
     }
 }
 
-/// Kernel counters as a JSON object (shared by fleet and bench reports).
-pub fn metrics_to_json(m: &KernelMetrics) -> Json {
-    Json::obj(vec![
-        ("context_switches", Json::UInt(m.context_switches)),
-        ("kernel_entries", Json::UInt(m.kernel_entries)),
-        ("ipc_messages", Json::UInt(m.ipc_messages)),
-        ("ipc_bytes", Json::UInt(m.ipc_bytes)),
-        ("access_denied", Json::UInt(m.access_denied)),
-        ("syscall_errors", Json::UInt(m.syscall_errors)),
-        ("processes_created", Json::UInt(m.processes_created)),
-        ("processes_reaped", Json::UInt(m.processes_reaped)),
-        ("hot_path_allocs", Json::UInt(m.hot_path_allocs)),
-        ("ipc_waits", Json::UInt(m.ipc_waits)),
-    ])
+/// Writes kernel counters as a JSON object.
+fn write_metrics(w: &mut JsonWriter, m: &KernelMetrics) {
+    w.obj(|w| {
+        w.key("context_switches").uint(m.context_switches);
+        w.key("kernel_entries").uint(m.kernel_entries);
+        w.key("ipc_messages").uint(m.ipc_messages);
+        w.key("ipc_bytes").uint(m.ipc_bytes);
+        w.key("access_denied").uint(m.access_denied);
+        w.key("syscall_errors").uint(m.syscall_errors);
+        w.key("processes_created").uint(m.processes_created);
+        w.key("processes_reaped").uint(m.processes_reaped);
+        w.key("hot_path_allocs").uint(m.hot_path_allocs);
+        w.key("ipc_waits").uint(m.ipc_waits);
+    });
 }
 
-/// Plant safety snapshot as a JSON object.
-pub fn plant_to_json(p: &PlantSnapshot) -> Json {
-    Json::obj(vec![
-        ("safety_violated", Json::Bool(p.safety_violated)),
-        ("max_deviation_c", Json::Num(p.max_deviation_c)),
-        ("in_band_fraction", Json::Num(p.in_band_fraction)),
-        ("final_temp_c", Json::Num(p.final_temp_c)),
-        ("alarm_on", Json::Bool(p.alarm_on)),
-        ("fan_switches", Json::UInt(p.fan_switches as u64)),
-        (
-            "alarm_latencies_s",
-            Json::Arr(p.alarm_latencies_s.iter().map(|&l| Json::Num(l)).collect()),
-        ),
-    ])
+/// Writes a plant safety snapshot as a JSON object.
+fn write_plant(w: &mut JsonWriter, p: &PlantSnapshot) {
+    w.obj(|w| {
+        w.key("safety_violated").bool(p.safety_violated);
+        w.key("max_deviation_c").num(p.max_deviation_c);
+        w.key("in_band_fraction").num(p.in_band_fraction);
+        w.key("final_temp_c").num(p.final_temp_c);
+        w.key("alarm_on").bool(p.alarm_on);
+        w.key("fan_switches").uint(p.fan_switches as u64);
+        w.key("alarm_latencies_s").arr(|w| {
+            for &l in &p.alarm_latencies_s {
+                w.num(l);
+            }
+        });
+    });
 }
 
 #[cfg(test)]
@@ -581,16 +582,45 @@ mod tests {
     }
 
     #[test]
-    fn histogram_clamps_negative_to_first_bin() {
+    fn histogram_counts_negative_samples_invalid() {
         let mut h = LatencyHistogram::new(30.0, 20);
         h.record(-5.0);
-        // The old code sent negatives to `overflow` ("at or beyond the
-        // last bin edge") and subtracted them from `sum_s`.
-        assert_eq!(h.counts[0], 1);
+        h.record(-1e-9);
+        // The old code clamped negatives into bin 0, passing a causality
+        // violation off as the fastest possible response.
+        assert_eq!(h.counts[0], 0);
         assert_eq!(h.overflow, 0);
-        assert_eq!(h.samples, 1);
+        assert_eq!(h.invalid, 2);
+        assert_eq!(h.samples, 0);
         assert_eq!(h.sum_s, 0.0);
-        assert_eq!(h.mean_s(), 0.0);
+        h.record(0.0);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.samples, 1);
+    }
+
+    #[test]
+    fn request_completed_before_scheduled_counts_invalid() {
+        use bas_core::logic::web::{RequestSample, WebAction};
+        use bas_sim::time::{SimDuration, SimTime};
+
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        let sample = |scheduled, completed| RequestSample {
+            scheduled,
+            completed,
+            action: WebAction::QueryStatus,
+            ok: true,
+        };
+        // The old code computed `completed - scheduled` on `SimTime`,
+        // which panics in debug builds and wraps to a ~584-year sample
+        // in release builds.
+        let stats = RequestStats::from_samples(&[sample(at(10), at(12)), sample(at(20), at(15))])
+            .expect("two samples logged");
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.latency.samples, 1);
+        assert_eq!(stats.latency.invalid, 1);
+        assert_eq!(stats.latency.overflow, 0);
+        assert_eq!(stats.latency.counts.iter().sum::<u64>(), 1);
+        assert!(stats.latency.max_s < 0.01);
     }
 
     #[test]
@@ -656,10 +686,11 @@ mod tests {
             for _ in 0..nans {
                 h.record(f64::NAN);
             }
+            let negatives = samples.iter().filter(|&&s| s < 0.0).count() as u64;
             let binned: u64 = h.counts.iter().sum();
             prop_assert_eq!(binned + h.overflow, h.samples);
-            prop_assert_eq!(h.samples, samples.len() as u64);
-            prop_assert_eq!(h.invalid, nans as u64);
+            prop_assert_eq!(h.samples, samples.len() as u64 - negatives);
+            prop_assert_eq!(h.invalid, nans as u64 + negatives);
             prop_assert!(h.sum_s.is_finite() && h.sum_s >= 0.0);
             prop_assert!(h.max_s.is_finite() && h.max_s >= 0.0);
             prop_assert!(h.mean_s().is_finite());

@@ -32,8 +32,8 @@ use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::logic::traffic::TrafficProfile;
 use bas_core::scenario::Platform;
 use bas_fleet::{
-    instance_seed, run_cells, run_fleet_with, BootMode, FleetConfig, FleetReport, Json, WallStats,
-    WorkerPool,
+    instance_seed, run_cells, run_fleet_with, BootMode, FleetConfig, FleetReport, JsonWriter,
+    WallStats, WorkerPool,
 };
 use bas_sim::rng::SimRng;
 use bas_sim::time::SimDuration;
@@ -180,85 +180,66 @@ impl TrafficReport {
     /// per-instance array is *not* embedded (a 1 000-instance run would
     /// drown the summary); its totals and merged latency histogram are.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
     }
 
-    /// The report as a [`Json`] tree.
-    pub fn to_json_value(&self) -> Json {
+    /// Writes the report as a JSON object (for embedding in larger
+    /// reports).
+    pub fn write_json(&self, w: &mut JsonWriter) {
         let arrival = match self.profile.arrival {
             bas_core::logic::traffic::ArrivalProcess::Poisson => "poisson",
             bas_core::logic::traffic::ArrivalProcess::Uniform => "uniform",
         };
-        Json::obj(vec![
-            ("schema", Json::Str("bas-traffic-report/v1".into())),
-            ("platform", Json::Str(self.platform.to_string())),
-            ("root_seed", Json::UInt(self.root_seed)),
-            ("instances", Json::UInt(self.instances as u64)),
-            ("benign_instances", Json::UInt(self.benign_instances as u64)),
-            (
-                "attacker_instances",
-                Json::UInt(self.attacker_instances as u64),
-            ),
-            (
-                "profile",
-                Json::obj(vec![
-                    ("tenants", Json::UInt(self.profile.tenants as u64)),
-                    (
-                        "mean_interarrival_s",
-                        Json::Num(self.profile.mean_interarrival_s),
-                    ),
-                    ("arrival", Json::Str(arrival.into())),
-                    ("write_fraction", Json::Num(self.profile.write_fraction)),
-                    ("duration_s", Json::Num(self.profile.duration.as_secs_f64())),
-                    (
-                        "expected_requests_per_instance",
-                        Json::Num(self.profile.expected_requests()),
-                    ),
-                ]),
-            ),
-            ("requests", Json::UInt(self.fleet.totals.requests)),
-            ("requests_ok", Json::UInt(self.fleet.totals.requests_ok)),
-            (
-                "latency_ms",
-                Json::obj(vec![
-                    ("p50", Json::Num(self.latency_percentile(0.50) * 1e3)),
-                    ("p95", Json::Num(self.latency_percentile(0.95) * 1e3)),
-                    ("p99", Json::Num(self.latency_percentile(0.99) * 1e3)),
-                    ("mean", Json::Num(self.fleet.request_latency.mean_s() * 1e3)),
-                    ("max", Json::Num(self.fleet.request_latency.max_s * 1e3)),
-                ]),
-            ),
-            ("ipc_waits", Json::UInt(self.fleet.totals.ipc_waits)),
-            ("ipc_messages", Json::UInt(self.fleet.totals.ipc_messages)),
-            (
-                "safety_violations",
-                Json::UInt(self.fleet.totals.safety_violations as u64),
-            ),
-            (
-                "critical_losses",
-                Json::UInt(self.fleet.totals.critical_losses as u64),
-            ),
-            ("request_latency", self.fleet.request_latency.to_json()),
-            (
-                "attacks",
-                Json::Arr(
-                    self.attacks
-                        .iter()
-                        .map(|lane| {
-                            Json::obj(vec![
-                                ("attack", Json::Str(lane.attack.to_string())),
-                                ("instances", Json::UInt(lane.instances as u64)),
-                                (
-                                    "mechanism_succeeded",
-                                    Json::UInt(lane.mechanism_succeeded as u64),
-                                ),
-                                ("compromised", Json::UInt(lane.compromised as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let totals = &self.fleet.totals;
+        w.obj(|w| {
+            w.key("schema").str("bas-traffic-report/v1");
+            w.key("platform").str(&self.platform.to_string());
+            w.key("root_seed").uint(self.root_seed);
+            w.key("instances").uint(self.instances as u64);
+            w.key("benign_instances").uint(self.benign_instances as u64);
+            w.key("attacker_instances")
+                .uint(self.attacker_instances as u64);
+            w.key("profile").obj(|w| {
+                w.key("tenants").uint(self.profile.tenants as u64);
+                w.key("mean_interarrival_s")
+                    .num(self.profile.mean_interarrival_s);
+                w.key("arrival").str(arrival);
+                w.key("write_fraction").num(self.profile.write_fraction);
+                w.key("duration_s").num(self.profile.duration.as_secs_f64());
+                w.key("expected_requests_per_instance")
+                    .num(self.profile.expected_requests());
+            });
+            w.key("requests").uint(totals.requests);
+            w.key("requests_ok").uint(totals.requests_ok);
+            w.key("latency_ms").obj(|w| {
+                w.key("p50").num(self.latency_percentile(0.50) * 1e3);
+                w.key("p95").num(self.latency_percentile(0.95) * 1e3);
+                w.key("p99").num(self.latency_percentile(0.99) * 1e3);
+                w.key("mean").num(self.fleet.request_latency.mean_s() * 1e3);
+                w.key("max").num(self.fleet.request_latency.max_s * 1e3);
+            });
+            w.key("ipc_waits").uint(totals.ipc_waits);
+            w.key("ipc_messages").uint(totals.ipc_messages);
+            w.key("safety_violations")
+                .uint(totals.safety_violations as u64);
+            w.key("critical_losses").uint(totals.critical_losses as u64);
+            self.fleet
+                .request_latency
+                .write_json(w.key("request_latency"));
+            w.key("attacks").arr(|w| {
+                for lane in &self.attacks {
+                    w.obj(|w| {
+                        w.key("attack").str(&lane.attack.to_string());
+                        w.key("instances").uint(lane.instances as u64);
+                        w.key("mechanism_succeeded")
+                            .uint(lane.mechanism_succeeded as u64);
+                        w.key("compromised").uint(lane.compromised as u64);
+                    });
+                }
+            });
+        });
     }
 }
 
