@@ -21,6 +21,12 @@ echo "== cargo clippy (bas-analysis + bas-faults + bas-fleet: no unwrap in the a
 cargo clippy -p bas-analysis -p bas-faults -p bas-fleet -p bas-traffic --all-targets -- -D warnings \
   -W clippy::unwrap_used
 
+echo "== rustdoc (deny warnings; bas-* crates and the facade) =="
+# Keeps intra-doc links honest when types move between modules. The
+# `bas*` package glob leaves out the vendored stand-ins, whose docs
+# mirror upstream crates that are not present offline.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p 'bas*'
+
 echo "== cargo test =="
 cargo test -q --workspace
 
