@@ -3,17 +3,21 @@
 //! Each platform stack ([`platform::minix::MinixStack`],
 //! [`platform::sel4::Sel4Stack`], [`platform::linux::LinuxStack`])
 //! implements [`PlatformKernel`] — boot the five-process scenario from its
-//! policy artifact, step the kernel, expose trace/metrics and the physical
-//! plant — and [`ScenarioEngine`] supplies everything that used to be
-//! copy-pasted per platform: the kernel/plant lockstep loop, the
-//! authorized-reference bookkeeping for the safety oracle, and the
-//! [`Scenario`] trait surface the experiments and the attack harness
-//! consume.
+//! policy artifact, step the kernel, expose trace and metrics — and keeps
+//! its platform-free state in a [`StackState`]. [`ScenarioEngine`] runs the
+//! kernel/plant lockstep loop, keeps the safety oracle's authorized
+//! reference in step with the schedule, decides how a stack recycles,
+//! and supplies the [`Scenario`] trait surface the experiments and the
+//! attack harness consume.
 //!
 //! [`platform::minix::MinixStack`]: crate::platform::minix::MinixStack
 //! [`platform::sel4::Sel4Stack`]: crate::platform::sel4::Sel4Stack
 //! [`platform::linux::LinuxStack`]: crate::platform::linux::LinuxStack
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use bas_plant::world::PlantWorld;
 use bas_plant::SharedPlant;
 use bas_sim::caps::{CapChurnOp, CapTrace};
 use bas_sim::device::DeviceBus;
@@ -21,15 +25,85 @@ use bas_sim::fault::IpcFault;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
 
-use crate::logic::web::RequestSample;
+use crate::logic::web::{
+    new_request_log, shared_schedule, RequestLog, RequestSample, SharedSchedule, WebSession,
+};
 use crate::proto::BasMsg;
-use crate::scenario::{Platform, Scenario, ScenarioConfig};
+use crate::scenario::{new_web_log, Platform, Scenario, ScenarioConfig, WebLog};
+
+/// The state every platform stack keeps beside its kernel: the plant,
+/// the benign web client's shared cells, and the two flags that decide
+/// whether and how the stack recycles.
+pub struct StackState {
+    plant: SharedPlant,
+    web_log: WebLog,
+    /// The effective action schedule. The benign web client holds a
+    /// cursor over this cell, so a recycled stack whose kernel was never
+    /// reset still picks up the next instance's traffic.
+    web_schedule: SharedSchedule,
+    web_requests: RequestLog,
+    /// False when the stack booted with attacker overrides (which may be
+    /// stateful one-shots) or had its device bus touched (interposed
+    /// fault devices survive a kernel reset): recycling could then not
+    /// promise byte-identity with a cold boot.
+    pub(crate) forkable: bool,
+    /// True once anything mutated the kernel after boot (stepping, fault
+    /// or churn injection); every mutating [`PlatformKernel`] method sets
+    /// it. While false the kernel is still the boot template verbatim —
+    /// only the plant carries the seed — so recycling skips the kernel
+    /// reset and the respawns.
+    pub(crate) ran: bool,
+}
+
+impl StackState {
+    /// The boot-time state under `config`. `forkable` is false when
+    /// attacker overrides booted the stack.
+    pub fn new(config: &ScenarioConfig, forkable: bool) -> Self {
+        StackState {
+            plant: Rc::new(RefCell::new(PlantWorld::new(
+                config.synced_plant(),
+                config.seed,
+            ))),
+            web_log: new_web_log(),
+            web_schedule: shared_schedule(config.effective_web_schedule()),
+            web_requests: new_request_log(),
+            forkable,
+            ran: false,
+        }
+    }
+
+    /// Handle to the physical world the kernel's devices are wired to.
+    pub fn plant(&self) -> &SharedPlant {
+        &self.plant
+    }
+
+    /// A fresh benign web session over this stack's shared cells.
+    pub fn web_session(&self) -> WebSession {
+        WebSession::new(
+            self.web_schedule.clone(),
+            self.web_log.clone(),
+            self.web_requests.clone(),
+        )
+    }
+
+    /// Re-images the platform-free state for the instance `config`
+    /// describes. The plant is re-seeded in place, because its `Rc`
+    /// identity is what the installed devices and the engine hold; the
+    /// schedule is seed-derived under traffic, so its cell is re-imaged
+    /// on every recycle; both logs start empty.
+    fn reimage(&mut self, config: &ScenarioConfig) {
+        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
+        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
+        self.web_log.borrow_mut().clear();
+        self.web_requests.borrow_mut().clear();
+    }
+}
 
 /// One platform's bootable kernel stack, as seen by the generic engine
 /// and the fleet layer.
 ///
-/// Implementations own the simulated kernel, the plant handle, and the
-/// web-interface log; the engine owns the lockstep loop and the
+/// Implementations own the simulated kernel and a [`StackState`]; the
+/// engine owns the lockstep loop, the recycle policy and the
 /// cross-platform [`Scenario`] surface. Attack injection and ablation
 /// policies ride in through [`PlatformKernel::Overrides`].
 pub trait PlatformKernel {
@@ -44,14 +118,23 @@ pub trait PlatformKernel {
     /// artifact (ACM / CapDL spec / mq ACL plan).
     fn boot(config: &ScenarioConfig, overrides: Self::Overrides) -> Self;
 
+    /// The platform-free state beside the kernel.
+    fn state(&self) -> &StackState;
+
+    /// Mutable access to the platform-free state.
+    fn state_mut(&mut self) -> &mut StackState;
+
+    /// Resets the kernel and re-runs the boot-time spawns, so the kernel
+    /// matches a cold boot under `config` — the kernel half of the
+    /// snapshot-fork recycle. `config` is the boot template modulo
+    /// `seed`. The engine calls it only on a forkable stack that ran.
+    fn reboot(&mut self, config: &ScenarioConfig);
+
     /// Current virtual time.
     fn now(&self) -> SimTime;
 
     /// Advances the kernel's event loop to `target` virtual time.
     fn run_until(&mut self, target: SimTime);
-
-    /// Handle to the physical world (safety oracle, actuator history).
-    fn plant(&self) -> SharedPlant;
 
     /// Kernel counters.
     fn metrics(&self) -> KernelMetrics;
@@ -61,25 +144,6 @@ pub trait PlatformKernel {
 
     /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
     fn trace_count(&self, category: &str) -> usize;
-
-    /// Responses observed by the (benign) web interface.
-    fn web_responses(&self) -> Vec<BasMsg>;
-
-    /// Completed web requests with scheduled/completed stamps. Default:
-    /// no request accounting (attacker-replaced webs, legacy stacks).
-    fn web_requests(&self) -> Vec<RequestSample> {
-        Vec::new()
-    }
-
-    /// Returns the stack to its just-booted state under `config`, reusing
-    /// live allocations — the snapshot-fork boot path. `config` must be
-    /// the boot template modulo `seed` (the stack re-runs its stored boot
-    /// plan; only the plant is re-seeded). Returns `false` when this stack
-    /// cannot guarantee byte-identity with a cold boot (e.g. one-shot
-    /// attacker overrides), in which case the caller must cold-boot.
-    fn reset_to_boot(&mut self, _config: &ScenarioConfig) -> bool {
-        false
-    }
 
     // ----- fault-injection hooks (`bas-faults`) -----------------------------
 
@@ -110,34 +174,28 @@ pub trait PlatformKernel {
     /// own authority structure — a MINIX ACM row, an seL4 CDT revoke
     /// sweep, a Linux mq mode edit. Returns false when the platform
     /// cannot resolve the pair (or the op was already in effect).
-    fn apply_cap_churn(&mut self, _op: &CapChurnOp) -> bool {
-        false
-    }
+    fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool;
 
     /// Arms `op` to fire immediately after the `after_checks`-th
     /// subsequent *successful* admission check by `op.subject` toward
     /// `op.object` — deterministically inside the platform's check→use
-    /// window. Default: unsupported no-op.
-    fn arm_cap_churn(&mut self, _op: &CapChurnOp, _after_checks: u32) {}
+    /// window.
+    fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32);
 
     /// Starts recording the kernel's structured capability-event stream
-    /// ([`bas_sim::caps::CapEvent`]). Off by default; platforms without
-    /// instrumentation ignore the call.
-    fn enable_cap_trace(&mut self) {}
+    /// ([`bas_sim::caps::CapEvent`]). Off by default.
+    fn enable_cap_trace(&mut self);
 
     /// Snapshot of the capability-event stream recorded so far. Empty
-    /// when tracing was never enabled (or is unsupported).
-    fn cap_trace(&self) -> CapTrace {
-        CapTrace::default()
-    }
+    /// when tracing was never enabled.
+    fn cap_trace(&self) -> CapTrace;
 }
 
 /// Hook called with the platform stack at every lockstep chunk boundary
 /// (see [`ScenarioEngine::set_tick_hook`]).
 pub type TickHook<K> = Box<dyn FnMut(&mut K)>;
 
-/// A booted scenario on some [`PlatformKernel`]: the single generic
-/// runner that replaced the three hand-rolled per-platform adapters.
+/// A booted scenario on some [`PlatformKernel`].
 ///
 /// ```no_run
 /// use bas_core::engine::ScenarioEngine;
@@ -153,7 +211,6 @@ pub struct ScenarioEngine<K: PlatformKernel> {
     /// The booted platform stack (public for experiment introspection:
     /// `s.stack.kernel`, and on seL4 `s.stack.spec` / `s.stack.sys`).
     pub stack: K,
-    plant: SharedPlant,
     chunk: SimDuration,
     reference_changes: Vec<(SimTime, i32)>,
     next_reference: usize,
@@ -163,11 +220,8 @@ pub struct ScenarioEngine<K: PlatformKernel> {
 impl<K: PlatformKernel> ScenarioEngine<K> {
     /// Boots the scenario on `K` and prepares the lockstep runner.
     pub fn boot(config: &ScenarioConfig, overrides: K::Overrides) -> Self {
-        let stack = K::boot(config, overrides);
-        let plant = stack.plant();
         ScenarioEngine {
-            stack,
-            plant,
+            stack: K::boot(config, overrides),
             chunk: config.lockstep_chunk,
             reference_changes: config.reference_changes(),
             next_reference: 0,
@@ -209,14 +263,18 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
             // the administrator's (in-range, in-order) setpoint changes.
             while let Some(&(t, mc)) = self.reference_changes.get(self.next_reference) {
                 if t <= self.stack.now() {
-                    self.plant.borrow_mut().set_reference(mc as f64 / 1000.0);
+                    self.stack
+                        .state()
+                        .plant()
+                        .borrow_mut()
+                        .set_reference(mc as f64 / 1000.0);
                     self.next_reference += 1;
                 } else {
                     break;
                 }
             }
             let now = self.stack.now();
-            self.plant.borrow_mut().step_to(now);
+            self.stack.state().plant().borrow_mut().step_to(now);
         }
     }
 
@@ -225,7 +283,7 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn plant(&self) -> SharedPlant {
-        self.plant.clone()
+        self.stack.state().plant().clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -241,18 +299,22 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn web_responses(&self) -> Vec<BasMsg> {
-        self.stack.web_responses()
+        self.stack.state().web_log.borrow().clone()
     }
 
     fn request_samples(&self) -> Vec<RequestSample> {
-        self.stack.web_requests()
+        self.stack.state().web_requests.borrow().clone()
     }
 
     fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        if !self.stack.reset_to_boot(config) {
+        if !self.stack.state().forkable {
             return false;
         }
-        self.plant = self.stack.plant();
+        if self.stack.state().ran {
+            self.stack.reboot(config);
+            self.stack.state_mut().ran = false;
+        }
+        self.stack.state_mut().reimage(config);
         self.chunk = config.lockstep_chunk;
         self.reference_changes = config.reference_changes();
         self.next_reference = 0;

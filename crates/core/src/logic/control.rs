@@ -7,8 +7,11 @@
 //! "allow an administrator to adjust the desired room temperature within
 //! this range" — out-of-range setpoints are rejected.
 
+use bas_sim::device::DeviceId;
 use bas_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+use crate::proto::BasMsg;
 
 /// Static control parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,6 +84,30 @@ pub struct ControlStatus {
     pub fan_on: bool,
     /// Commanded alarm state.
     pub alarm_on: bool,
+}
+
+impl From<ControlStatus> for BasMsg {
+    /// The status reply the controller sends to a status query.
+    fn from(s: ControlStatus) -> Self {
+        BasMsg::Status {
+            temp_milli_c: s.last_reading_milli_c,
+            setpoint_milli_c: s.setpoint_milli_c,
+            fan_on: s.fan_on,
+            alarm_on: s.alarm_on,
+        }
+    }
+}
+
+/// The level an actuator driver for `dev` writes on receiving `msg`:
+/// `FanCmd` drives the fan and `AlarmCmd` the alarm. `None` when `msg`
+/// is not a command for `dev`, which the driver then ignores.
+pub fn actuator_level(dev: DeviceId, msg: &BasMsg) -> Option<bool> {
+    match (dev, msg) {
+        (DeviceId::FAN, BasMsg::FanCmd { on }) | (DeviceId::ALARM, BasMsg::AlarmCmd { on }) => {
+            Some(*on)
+        }
+        _ => None,
+    }
 }
 
 /// The pure control core.
@@ -310,6 +337,16 @@ mod tests {
                 "in band at new setpoint"
             );
         }
+    }
+
+    #[test]
+    fn actuator_level_matches_command_to_device() {
+        let fan = BasMsg::FanCmd { on: true };
+        let alarm = BasMsg::AlarmCmd { on: false };
+        assert_eq!(actuator_level(DeviceId::FAN, &fan), Some(true));
+        assert_eq!(actuator_level(DeviceId::ALARM, &alarm), Some(false));
+        assert_eq!(actuator_level(DeviceId::ALARM, &fan), None);
+        assert_eq!(actuator_level(DeviceId::FAN, &BasMsg::StatusQuery), None);
     }
 
     #[test]

@@ -20,28 +20,22 @@
 //!   (attack A2).
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use bas_linux::cred::{Mode, Uid};
 use bas_linux::kernel::{LinuxConfig, LinuxKernel, LinuxProcess};
 use bas_linux::syscall::{MqAccess, Reply, Syscall};
 use bas_plant::devices::install_devices;
-use bas_plant::world::PlantWorld;
-use bas_plant::SharedPlant;
 use bas_sim::device::DeviceId;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
-use crate::engine::{PlatformKernel, ScenarioEngine};
-use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{
-    new_request_log, shared_schedule, RequestLog, RequestSample, ScheduleCursor, SharedSchedule,
-    WebAction, WebSchedule,
-};
+use crate::engine::{PlatformKernel, ScenarioEngine, StackState};
+use crate::logic::control::{actuator_level, ControlCore, Directive};
+use crate::logic::web::{WebAction, WebSession, WebStep};
 use crate::policy::queues;
 use crate::proto::{names, BasMsg};
-use crate::scenario::{new_web_log, Platform, ScenarioConfig, WebLog};
+use crate::scenario::{Platform, ScenarioConfig};
 
 /// Scenario uids.
 pub mod uids {
@@ -256,16 +250,7 @@ impl Process for LinuxControl {
             CtrlSt::PollStatus => match reply {
                 Some(Reply::Data { data, .. }) => {
                     if let Ok(BasMsg::StatusQuery) = BasMsg::from_bytes(&data) {
-                        let s = self.core.status();
-                        self.nb_send(
-                            QD_REPLY,
-                            BasMsg::Status {
-                                temp_milli_c: s.last_reading_milli_c,
-                                setpoint_milli_c: s.setpoint_milli_c,
-                                fan_on: s.fan_on,
-                                alarm_on: s.alarm_on,
-                            },
-                        );
+                        self.nb_send(QD_REPLY, self.core.status().into());
                     }
                     self.state = CtrlSt::DrainThenPollStatus;
                     self.resume(None)
@@ -449,12 +434,7 @@ impl Process for LinuxActuator {
             ActSt::AwaitRecv => {
                 if let Some(Reply::Data { data, .. }) = reply {
                     let decoded = BasMsg::from_bytes(&data);
-                    let cmd = match (self.dev, decoded) {
-                        (DeviceId::FAN, Ok(BasMsg::FanCmd { on })) => Some(on),
-                        (DeviceId::ALARM, Ok(BasMsg::AlarmCmd { on })) => Some(on),
-                        _ => None,
-                    };
-                    if let Some(on) = cmd {
+                    if let Some(on) = decoded.ok().and_then(|msg| actuator_level(self.dev, &msg)) {
                         self.state = ActSt::AwaitWrite;
                         return Action::Syscall(Syscall::DevWrite {
                             dev: self.dev,
@@ -487,26 +467,15 @@ impl Process for LinuxActuator {
 // ---------------------------------------------------------------------------
 
 /// The benign Linux web interface: scripted administrator actions over
-/// the setpoint/status queues, awaiting replies on the reply queue.
-///
-/// Same-tick bursts drain in one wake (the next send issues straight
-/// after the previous reply, no intervening `GetTime`), and completed
-/// requests are stamped into the optional [`RequestLog`] at the next
-/// clock read — see [`MinixWeb`] for the shared rationale.
-///
-/// [`MinixWeb`]: crate::platform::minix::MinixWeb
+/// the setpoint/status queues, awaiting replies on the reply queue. Its
+/// [`WebSession`] decides what to send and when; this process adds the
+/// queue opens and the mq byte codec.
 pub struct LinuxWeb {
-    schedule: ScheduleCursor,
-    responses: WebLog,
-    requests: Option<RequestLog>,
-    pending: VecDeque<(SimTime, WebAction)>,
-    inflight: Option<(SimTime, WebAction)>,
-    unstamped: Vec<(SimTime, WebAction, bool)>,
+    session: WebSession,
     state: WebSt,
 }
 
 enum WebSt {
-    Start,
     Open(usize),
     AwaitTime,
     AwaitSleep,
@@ -524,61 +493,31 @@ const WQD_STATUS: u32 = 1;
 const WQD_REPLY: u32 = 2;
 
 impl LinuxWeb {
-    /// Creates the benign web interface over a private schedule copy.
-    pub fn new(schedule: WebSchedule, responses: WebLog) -> Self {
-        LinuxWeb::with_cursor(ScheduleCursor::detached(&schedule), responses, None)
-    }
-
-    /// Creates the benign web interface over a shared schedule cell,
-    /// stamping completed requests into `requests`.
-    pub fn with_cursor(
-        schedule: ScheduleCursor,
-        responses: WebLog,
-        requests: Option<RequestLog>,
-    ) -> Self {
+    /// Creates the benign web interface around `session`.
+    pub fn new(session: WebSession) -> Self {
         LinuxWeb {
-            schedule,
-            responses,
-            requests,
-            pending: VecDeque::new(),
-            inflight: None,
-            unstamped: Vec::new(),
-            state: WebSt::Start,
+            session,
+            state: WebSt::Open(0),
         }
     }
 
-    fn send_next(&mut self) -> Action<Syscall> {
-        let (scheduled, action) = self.pending.pop_front().expect("pending action");
-        self.inflight = Some((scheduled, action));
-        let (qd, msg) = match action {
-            WebAction::SetSetpoint(mc) => (WQD_SETPOINT, BasMsg::SetpointUpdate { milli_c: mc }),
-            WebAction::QueryStatus => (WQD_STATUS, BasMsg::StatusQuery),
+    fn read_clock(&mut self) -> Action<Syscall> {
+        self.state = WebSt::AwaitTime;
+        Action::Syscall(Syscall::GetTime)
+    }
+
+    fn send(&mut self, action: WebAction) -> Action<Syscall> {
+        let qd = match action {
+            WebAction::SetSetpoint(_) => WQD_SETPOINT,
+            WebAction::QueryStatus => WQD_STATUS,
         };
         self.state = WebSt::AwaitSend;
         Action::Syscall(Syscall::MqSend {
             qd,
-            data: msg.to_bytes(),
+            data: BasMsg::from(action).to_bytes(),
             priority: 0,
             nonblocking: false,
         })
-    }
-
-    fn stamp_completions(&mut self, now: SimTime) {
-        if self.unstamped.is_empty() {
-            return;
-        }
-        if let Some(log) = &self.requests {
-            let mut log = log.borrow_mut();
-            for &(scheduled, action, ok) in &self.unstamped {
-                log.push(RequestSample {
-                    scheduled,
-                    completed: now,
-                    action,
-                    ok,
-                });
-            }
-        }
-        self.unstamped.clear();
     }
 }
 
@@ -588,10 +527,6 @@ impl Process for LinuxWeb {
 
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match self.state {
-            WebSt::Start => {
-                self.state = WebSt::Open(0);
-                self.resume(None)
-            }
             WebSt::Open(i) => {
                 if i > 0 && !matches!(reply, Some(Reply::Qd(_))) {
                     return Action::Exit(1);
@@ -605,40 +540,22 @@ impl Process for LinuxWeb {
                         create: None,
                     });
                 }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
+                self.read_clock()
             }
             WebSt::AwaitTime => {
                 let now = match reply {
                     Some(Reply::Time(t)) => t,
                     _ => SimTime::ZERO,
                 };
-                self.stamp_completions(now);
-                if self.pending.is_empty() {
-                    let mut due = Vec::new();
-                    self.schedule.drain_due(now, &mut due);
-                    self.pending.extend(due);
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                match self.schedule.next_time() {
-                    None => {
+                match self.session.on_clock(now) {
+                    WebStep::Send(action) => self.send(action),
+                    WebStep::Sleep(duration) => {
                         self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep {
-                            duration: SimDuration::from_secs(3_600),
-                        })
-                    }
-                    Some(t) => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep { duration: t - now })
+                        Action::Syscall(Syscall::Sleep { duration })
                     }
                 }
             }
-            WebSt::AwaitSleep => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
-            }
+            WebSt::AwaitSleep => self.read_clock(),
             WebSt::AwaitSend => {
                 self.state = WebSt::AwaitReply;
                 Action::Syscall(Syscall::MqReceive {
@@ -647,22 +564,15 @@ impl Process for LinuxWeb {
                 })
             }
             WebSt::AwaitReply => {
-                let mut ok = false;
-                if let Some(Reply::Data { data, .. }) = reply {
-                    if let Ok(decoded) = BasMsg::from_bytes(&data) {
-                        self.responses.borrow_mut().push(decoded);
-                        ok = true;
-                    }
-                }
-                if let Some((scheduled, action)) = self.inflight.take() {
-                    self.unstamped.push((scheduled, action, ok));
-                }
-                if !self.pending.is_empty() {
+                let decoded = match reply {
+                    Some(Reply::Data { data, .. }) => BasMsg::from_bytes(&data).ok(),
+                    _ => None,
+                };
+                match self.session.on_reply(decoded) {
                     // Burst tail: next send immediately, no clock read.
-                    return self.send_next();
+                    Some(action) => self.send(action),
+                    None => self.read_clock(),
                 }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
             }
         }
     }
@@ -696,30 +606,15 @@ impl Default for LinuxOverrides {
     }
 }
 
-/// The booted Linux stack: kernel, plant, and web log.
+/// The booted Linux stack: kernel and platform-free state.
 pub struct LinuxStack {
     /// The simulated kernel (public for experiment introspection).
     pub kernel: LinuxKernel,
-    plant: SharedPlant,
-    web_log: WebLog,
-    /// The effective action schedule, shared with the benign web
-    /// process and re-imaged per instance on recycling (the process
-    /// spawned at boot holds a cursor over this cell, so the pristine
-    /// fast path — which skips respawns — still picks up new traffic).
-    web_schedule: SharedSchedule,
-    /// Completed-request stamps from the benign web process.
-    web_requests: RequestLog,
-    /// Boot-template knobs kept so [`PlatformKernel::reset_to_boot`] can
-    /// re-run the same queue creation and spawns.
+    state: StackState,
+    /// Boot-template knobs kept so [`PlatformKernel::reboot`] can re-run
+    /// the same queue creation and spawns.
     scheme: UidScheme,
     web_uid: u32,
-    /// False when a custom web factory booted this stack: factories may
-    /// be stateful, so recycling cannot guarantee cold-boot identity.
-    forkable: bool,
-    /// True once anything mutated the kernel after boot. While false the
-    /// stack is still the boot template verbatim (the seed only reaches
-    /// the plant), so recycling skips the kernel reset and respawns.
-    ran: bool,
 }
 
 /// A running Linux scenario: the generic engine over [`LinuxStack`].
@@ -731,11 +626,7 @@ pub fn build_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxS
 }
 
 fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack {
-    let plant: SharedPlant = Rc::new(std::cell::RefCell::new(PlantWorld::new(
-        config.synced_plant(),
-        config.seed,
-    )));
-
+    let state = StackState::new(config, overrides.web_factory.is_none());
     let scheme = overrides.uid_scheme;
     let mut device_nodes = std::collections::BTreeMap::new();
     let dev_mode = Mode::new(0o600);
@@ -758,18 +649,14 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack 
         device_nodes,
         ..LinuxConfig::default()
     });
-    install_devices(&plant, kernel.devices_mut());
+    install_devices(state.plant(), kernel.devices_mut());
 
-    let web_log = new_web_log();
-    let web_schedule = shared_schedule(config.effective_web_schedule());
-    let web_requests = new_request_log();
     let web_uid = overrides
         .web_uid
         .unwrap_or_else(|| scheme.uid_of(names::WEB));
-    let forkable = overrides.web_factory.is_none();
     let web_logic: LinuxProcess = match &overrides.web_factory {
         Some(factory) => factory(),
-        None => benign_web(&web_schedule, &web_log, &web_requests),
+        None => Box::new(LinuxWeb::new(state.web_session())),
     };
     populate_scenario(&mut kernel, config, scheme, web_uid, web_logic);
 
@@ -787,33 +674,14 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack 
 
     LinuxStack {
         kernel,
-        plant,
-        web_log,
-        web_schedule,
-        web_requests,
+        state,
         scheme,
         web_uid,
-        forkable,
-        ran: false,
     }
 }
 
-/// The benign web-interface process over the stack's shared schedule
-/// cell and request log.
-fn benign_web(
-    web_schedule: &SharedSchedule,
-    web_log: &WebLog,
-    web_requests: &RequestLog,
-) -> LinuxProcess {
-    Box::new(LinuxWeb::with_cursor(
-        ScheduleCursor::new(web_schedule.clone()),
-        web_log.clone(),
-        Some(web_requests.clone()),
-    ))
-}
-
 /// Queue creation plus the five boot spawns, shared verbatim between cold
-/// boot and [`PlatformKernel::reset_to_boot`]: "The scenario process in
+/// boot and [`PlatformKernel::reboot`]: "The scenario process in
 /// Linux spawns all other processes and creates 6 message queues" — the
 /// loader role, performed at build time.
 fn populate_scenario(
@@ -922,17 +790,35 @@ impl PlatformKernel for LinuxStack {
         boot_linux(config, overrides)
     }
 
+    fn state(&self) -> &StackState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut StackState {
+        &mut self.state
+    }
+
+    fn reboot(&mut self, config: &ScenarioConfig) {
+        self.kernel.reset_to_boot();
+        let web_logic = Box::new(LinuxWeb::new(self.state.web_session()));
+        populate_scenario(
+            &mut self.kernel,
+            config,
+            self.scheme,
+            self.web_uid,
+            web_logic,
+        );
+        // The "sleeper" program registered at cold boot survives the
+        // kernel reset, so it is not re-registered here.
+    }
+
     fn now(&self) -> SimTime {
         self.kernel.now()
     }
 
     fn run_until(&mut self, target: SimTime) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.run_until(target);
-    }
-
-    fn plant(&self) -> SharedPlant {
-        self.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -947,59 +833,18 @@ impl PlatformKernel for LinuxStack {
         self.kernel.trace().events_in(category).count()
     }
 
-    fn web_responses(&self) -> Vec<BasMsg> {
-        self.web_log.borrow().clone()
-    }
-
-    fn web_requests(&self) -> Vec<RequestSample> {
-        self.web_requests.borrow().clone()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        if !self.forkable {
-            return false;
-        }
-        // Re-image the shared schedule cell first: under traffic the
-        // schedule is seed-derived, and the boot-time web process (kept
-        // by the pristine path below) reads this cell lazily.
-        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
-        if self.ran {
-            self.kernel.reset_to_boot();
-            let web_logic = benign_web(&self.web_schedule, &self.web_log, &self.web_requests);
-            populate_scenario(
-                &mut self.kernel,
-                config,
-                self.scheme,
-                self.web_uid,
-                web_logic,
-            );
-            // The "sleeper" program registered at cold boot survives the
-            // kernel reset, so it is not re-registered here.
-            self.ran = false;
-        }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the plant). Re-seed the plant in place: the
-        // `Rc` identity is what the installed plant devices hold.
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
-        self.web_log.borrow_mut().clear();
-        self.web_requests.borrow_mut().clear();
-        true
-    }
-
     fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {
-        // Interposed fault devices survive a kernel reset, so recycling
-        // can no longer promise cold-boot identity.
-        self.forkable = false;
+        self.state.forkable = false;
         self.kernel.devices_mut()
     }
 
     fn inject_crash(&mut self, name: &str) -> bool {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.kill_named(name)
     }
 
     fn arm_ipc_fault(&mut self, fault: bas_sim::fault::IpcFault, count: u32) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.ipc_faults_mut().arm(fault, count);
     }
 
@@ -1007,13 +852,13 @@ impl PlatformKernel for LinuxStack {
         self.kernel.ipc_faults().applied()
     }
 
-    fn skew_clock(&mut self, d: bas_sim::time::SimDuration) {
-        self.ran = true;
+    fn skew_clock(&mut self, d: SimDuration) {
+        self.state.ran = true;
         self.kernel.skew_clock(d);
     }
 
     fn apply_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp) -> bool {
-        self.ran = true;
+        self.state.ran = true;
         let mut changed = false;
         for queue in churn_queues(&op.subject, &op.object) {
             let q_op = bas_sim::caps::CapChurnOp {
@@ -1026,7 +871,7 @@ impl PlatformKernel for LinuxStack {
     }
 
     fn arm_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp, after_checks: u32) {
-        self.ran = true;
+        self.state.ran = true;
         for queue in churn_queues(&op.subject, &op.object) {
             let q_op = bas_sim::caps::CapChurnOp {
                 object: queue.to_string(),
@@ -1037,7 +882,7 @@ impl PlatformKernel for LinuxStack {
     }
 
     fn enable_cap_trace(&mut self) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.enable_cap_trace();
     }
 

@@ -8,7 +8,6 @@
 //! `sendrec`; the kernel checks the ACM on every hop.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use bas_acm::AccessControlMatrix;
@@ -19,24 +18,19 @@ use bas_minix::message::Message;
 use bas_minix::pm;
 use bas_minix::syscall::{Reply, Syscall};
 use bas_plant::devices::install_devices;
-use bas_plant::world::PlantWorld;
-use bas_plant::SharedPlant;
 use bas_sim::device::DeviceId;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
-use crate::engine::{PlatformKernel, ScenarioEngine};
-use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{
-    new_request_log, shared_schedule, RequestLog, RequestSample, ScheduleCursor, SharedSchedule,
-    WebAction, WebSchedule,
-};
+use crate::engine::{PlatformKernel, ScenarioEngine, StackState};
+use crate::logic::control::{actuator_level, ControlCore, Directive};
+use crate::logic::web::{WebAction, WebSession, WebStep};
 use crate::policy;
 use crate::proto::{
     names, BasMsg, AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB,
 };
-use crate::scenario::{new_web_log, Platform, ScenarioConfig, WebLog};
+use crate::scenario::{Platform, ScenarioConfig};
 
 const LOOKUP_RETRY: SimDuration = SimDuration::from_millis(50);
 const MAX_LOOKUP_RETRIES: u32 = 400;
@@ -326,14 +320,7 @@ impl MinixControl {
                 });
             }
             BasMsg::StatusQuery => {
-                let s = self.core.status();
-                let (mtype, payload) = BasMsg::Status {
-                    temp_milli_c: s.last_reading_milli_c,
-                    setpoint_milli_c: s.setpoint_milli_c,
-                    fan_on: s.fan_on,
-                    alarm_on: s.alarm_on,
-                }
-                .to_minix();
+                let (mtype, payload) = BasMsg::from(self.core.status()).to_minix();
                 self.outbox.push_back(Syscall::NbSend {
                     dest: msg.source,
                     mtype,
@@ -516,12 +503,7 @@ impl Process for MinixActuator {
             ActSt::AwaitReceive => {
                 if let Some(Reply::Msg(m)) = reply {
                     let decoded = BasMsg::from_minix(m.mtype, &m.payload);
-                    let cmd = match (self.dev, decoded) {
-                        (DeviceId::FAN, Ok(BasMsg::FanCmd { on })) => Some(on),
-                        (DeviceId::ALARM, Ok(BasMsg::AlarmCmd { on })) => Some(on),
-                        _ => None,
-                    };
-                    if let Some(on) = cmd {
+                    if let Some(on) = decoded.ok().and_then(|msg| actuator_level(self.dev, &msg)) {
                         self.state = ActSt::AwaitWrite;
                         return Action::Syscall(Syscall::DevWrite {
                             dev: self.dev,
@@ -552,26 +534,11 @@ impl Process for MinixActuator {
 // ---------------------------------------------------------------------------
 
 /// The benign web interface: performs the scripted administrator actions
-/// over `sendrec` RPC and records the controller's answers.
-///
-/// Same-tick bursts (high-rate traffic, E18) are drained in one wake:
-/// every due action is collected via [`ScheduleCursor::drain_due`] and
-/// the RPCs issue back-to-back without an intervening `GetUptime`, so a
-/// burst costs one wake cycle instead of one cycle per request. Each
-/// completed request is stamped into the optional [`RequestLog`] at the
-/// next observed uptime (the first clock read after its reply), so the
-/// measured latency includes the open-loop queueing delay.
+/// over `sendrec` RPC. Its [`WebSession`] decides what to send and when;
+/// this process adds the controller lookup and the MINIX message codec.
 pub struct MinixWeb {
     control: Option<Endpoint>,
-    schedule: ScheduleCursor,
-    responses: WebLog,
-    requests: Option<RequestLog>,
-    /// Due actions drained but not yet sent (same-tick burst tail).
-    pending: VecDeque<(SimTime, WebAction)>,
-    /// The action whose RPC is in flight.
-    inflight: Option<(SimTime, WebAction)>,
-    /// Replied requests awaiting a completion timestamp.
-    unstamped: Vec<(SimTime, WebAction, bool)>,
+    session: WebSession,
     retries: u32,
     state: WebSt,
 }
@@ -586,65 +553,30 @@ enum WebSt {
 }
 
 impl MinixWeb {
-    /// Creates the benign web interface over a private schedule copy.
-    pub fn new(schedule: WebSchedule, responses: WebLog) -> Self {
-        MinixWeb::with_cursor(ScheduleCursor::detached(&schedule), responses, None)
-    }
-
-    /// Creates the benign web interface over a shared schedule cell,
-    /// stamping completed requests into `requests`.
-    pub fn with_cursor(
-        schedule: ScheduleCursor,
-        responses: WebLog,
-        requests: Option<RequestLog>,
-    ) -> Self {
+    /// Creates the benign web interface around `session`.
+    pub fn new(session: WebSession) -> Self {
         MinixWeb {
             control: None,
-            schedule,
-            responses,
-            requests,
-            pending: VecDeque::new(),
-            inflight: None,
-            unstamped: Vec::new(),
+            session,
             retries: 0,
             state: WebSt::Init,
         }
     }
 
-    /// Issues the RPC for the next pending action.
-    fn send_next(&mut self) -> Action<Syscall> {
-        let (scheduled, action) = self.pending.pop_front().expect("pending action");
-        self.inflight = Some((scheduled, action));
-        let msg = match action {
-            WebAction::SetSetpoint(mc) => BasMsg::SetpointUpdate { milli_c: mc },
-            WebAction::QueryStatus => BasMsg::StatusQuery,
-        };
-        let (mtype, payload) = msg.to_minix();
+    fn read_clock(&mut self) -> Action<Syscall> {
+        self.state = WebSt::AwaitTime;
+        Action::Syscall(Syscall::GetUptime)
+    }
+
+    /// Issues the RPC for `action`.
+    fn send(&mut self, action: WebAction) -> Action<Syscall> {
+        let (mtype, payload) = BasMsg::from(action).to_minix();
         self.state = WebSt::AwaitRpc;
         Action::Syscall(Syscall::SendRec {
             dest: self.control.expect("looked up"),
             mtype,
             payload,
         })
-    }
-
-    /// Stamps every replied request with `now` as its completion time.
-    fn stamp_completions(&mut self, now: SimTime) {
-        if self.unstamped.is_empty() {
-            return;
-        }
-        if let Some(log) = &self.requests {
-            let mut log = log.borrow_mut();
-            for &(scheduled, action, ok) in &self.unstamped {
-                log.push(RequestSample {
-                    scheduled,
-                    completed: now,
-                    action,
-                    ok,
-                });
-            }
-        }
-        self.unstamped.clear();
     }
 }
 
@@ -663,8 +595,7 @@ impl Process for MinixWeb {
             WebSt::AwaitLookup => match reply {
                 Some(Reply::Resolved(ep)) => {
                     self.control = Some(ep);
-                    self.state = WebSt::AwaitTime;
-                    Action::Syscall(Syscall::GetUptime)
+                    self.read_clock()
                 }
                 _ => {
                     self.retries += 1;
@@ -688,51 +619,25 @@ impl Process for MinixWeb {
                     Some(Reply::Uptime(t)) => t,
                     _ => SimTime::ZERO,
                 };
-                self.stamp_completions(now);
-                if self.pending.is_empty() {
-                    let mut due = Vec::new();
-                    self.schedule.drain_due(now, &mut due);
-                    self.pending.extend(due);
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                match self.schedule.next_time() {
-                    None => {
-                        // Session script exhausted: the web server idles
-                        // (it keeps serving, modeled as long sleeps).
+                match self.session.on_clock(now) {
+                    WebStep::Send(action) => self.send(action),
+                    WebStep::Sleep(duration) => {
                         self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep {
-                            duration: SimDuration::from_secs(3_600),
-                        })
-                    }
-                    Some(t) => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep { duration: t - now })
+                        Action::Syscall(Syscall::Sleep { duration })
                     }
                 }
             }
-            WebSt::AwaitSleep => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetUptime)
-            }
+            WebSt::AwaitSleep => self.read_clock(),
             WebSt::AwaitRpc => {
-                let mut ok = false;
-                if let Some(Reply::Msg(m)) = reply {
-                    if let Ok(decoded) = BasMsg::from_minix(m.mtype, &m.payload) {
-                        self.responses.borrow_mut().push(decoded);
-                        ok = true;
-                    }
-                }
-                if let Some((scheduled, action)) = self.inflight.take() {
-                    self.unstamped.push((scheduled, action, ok));
-                }
-                if !self.pending.is_empty() {
+                let decoded = match reply {
+                    Some(Reply::Msg(m)) => BasMsg::from_minix(m.mtype, &m.payload).ok(),
+                    _ => None,
+                };
+                match self.session.on_reply(decoded) {
                     // Burst tail: next RPC immediately, no clock read.
-                    return self.send_next();
+                    Some(action) => self.send(action),
+                    None => self.read_clock(),
                 }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetUptime)
             }
         }
     }
@@ -911,35 +816,18 @@ impl Default for MinixOverrides {
     }
 }
 
-/// The booted MINIX 3 + ACM stack: kernel, plant, and web log.
+/// The booted MINIX 3 + ACM stack: kernel and platform-free state.
 pub struct MinixStack {
     /// The simulated kernel (public for experiment introspection).
     pub kernel: MinixKernel,
-    plant: SharedPlant,
-    web_log: WebLog,
-    /// The effective action schedule, shared with the benign web
-    /// process (the registered factory holds the same cell), re-imaged
-    /// per instance by [`PlatformKernel::reset_to_boot`].
-    web_schedule: SharedSchedule,
-    /// Completed-request stamps from the benign web process.
-    web_requests: RequestLog,
-    /// The boot fork plan, kept so [`PlatformKernel::reset_to_boot`] can
-    /// re-run exactly the boot-time spawns (program ids, identities and
-    /// uids — including overridden web factories, which live on in the
-    /// kernel's program registry).
+    state: StackState,
+    /// The boot fork plan, kept so [`PlatformKernel::reboot`] can re-run
+    /// exactly the boot-time spawns (program ids, identities and uids —
+    /// including overridden web factories, which live on in the kernel's
+    /// program registry).
     boot_plan: Vec<(u32, bas_acm::AcId, u32)>,
     /// Whether boot spawned the reincarnation-server supervisor.
     supervise: bool,
-    /// False when a custom web factory was installed: attacker factories
-    /// may be stateful (one-shot script cells), so re-invoking them on a
-    /// recycled kernel cannot guarantee cold-boot identity.
-    forkable: bool,
-    /// True once anything mutated the kernel after boot (stepping, fault
-    /// or churn injection). A stack with `ran == false` is still byte-
-    /// identical to the boot template — only the plant carries the seed —
-    /// so [`PlatformKernel::reset_to_boot`] can skip the kernel reset and
-    /// the respawns entirely. Every mutating trait method sets this.
-    ran: bool,
 }
 
 /// A running MINIX scenario: the generic engine over [`MinixStack`].
@@ -951,11 +839,7 @@ pub fn build_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixS
 }
 
 fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack {
-    let plant: SharedPlant = Rc::new(std::cell::RefCell::new(PlantWorld::new(
-        config.synced_plant(),
-        config.seed,
-    )));
-
+    let state = StackState::new(config, overrides.web_factory.is_none());
     let acm = overrides
         .acm
         .unwrap_or_else(|| Arc::new(policy::scenario_acm()));
@@ -969,11 +853,7 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack 
         },
         acm,
     );
-    install_devices(&plant, kernel.devices_mut());
-
-    let web_log = new_web_log();
-    let web_schedule = shared_schedule(config.effective_web_schedule());
-    let web_requests = new_request_log();
+    install_devices(state.plant(), kernel.devices_mut());
 
     let period = config.sensor_period;
     let sensor_prog = kernel.register_program(
@@ -992,25 +872,16 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack 
     let alarm_prog =
         kernel.register_program(names::ALARM, Box::new(|| Box::new(MinixActuator::alarm())));
 
-    let forkable = overrides.web_factory.is_none();
     let web_prog = match overrides.web_factory {
         Some(factory) => kernel.register_program(names::WEB, factory),
         None => {
-            // The factory holds the *shared* schedule cell: the loader
-            // forks the web process lazily during stepping, so a
-            // recycled stack's re-imaged cell is picked up at fork time.
-            let schedule = web_schedule.clone();
-            let log = web_log.clone();
-            let requests = web_requests.clone();
+            // The factory holds a session over the *shared* cells: the
+            // loader forks the web process lazily during stepping, so a
+            // recycled stack's re-imaged schedule is picked up at fork time.
+            let session = state.web_session();
             kernel.register_program(
                 names::WEB,
-                Box::new(move || {
-                    Box::new(MinixWeb::with_cursor(
-                        ScheduleCursor::new(schedule.clone()),
-                        log.clone(),
-                        Some(requests.clone()),
-                    ))
-                }),
+                Box::new(move || Box::new(MinixWeb::new(session.clone()))),
             )
         }
     };
@@ -1028,19 +899,14 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack 
 
     MinixStack {
         kernel,
-        plant,
-        web_log,
-        web_schedule,
-        web_requests,
+        state,
         boot_plan,
         supervise: overrides.supervise,
-        forkable,
-        ran: false,
     }
 }
 
 /// The boot-time spawns, shared verbatim between cold boot and
-/// [`PlatformKernel::reset_to_boot`]: the loader (who forks the plan
+/// [`PlatformKernel::reboot`]: the loader (who forks the plan
 /// through PM) and optionally the supervisor watching the four critical
 /// entries (the plan's head, in registration order).
 fn spawn_boot_processes(
@@ -1082,17 +948,26 @@ impl PlatformKernel for MinixStack {
         boot_minix(config, overrides)
     }
 
+    fn state(&self) -> &StackState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut StackState {
+        &mut self.state
+    }
+
+    fn reboot(&mut self, _config: &ScenarioConfig) {
+        self.kernel.reset_to_boot();
+        spawn_boot_processes(&mut self.kernel, &self.boot_plan, self.supervise);
+    }
+
     fn now(&self) -> SimTime {
         self.kernel.now()
     }
 
     fn run_until(&mut self, target: SimTime) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.run_until(target);
-    }
-
-    fn plant(&self) -> SharedPlant {
-        self.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -1107,52 +982,18 @@ impl PlatformKernel for MinixStack {
         self.kernel.trace().events_in(category).count()
     }
 
-    fn web_responses(&self) -> Vec<BasMsg> {
-        self.web_log.borrow().clone()
-    }
-
-    fn web_requests(&self) -> Vec<RequestSample> {
-        self.web_requests.borrow().clone()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        if !self.forkable {
-            return false;
-        }
-        if self.ran {
-            self.kernel.reset_to_boot();
-            spawn_boot_processes(&mut self.kernel, &self.boot_plan, self.supervise);
-            self.ran = false;
-        }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the plant), so only the plant needs work.
-        // Re-seed it in place: the `Rc` identity is what the installed
-        // plant devices and the registered web factory hold.
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
-        // The schedule is seed-derived under traffic, so the shared cell
-        // is re-imaged on every recycle — the web factory holds the same
-        // cell and forks a cursor over the new contents.
-        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
-        self.web_log.borrow_mut().clear();
-        self.web_requests.borrow_mut().clear();
-        true
-    }
-
     fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {
-        // Interposed fault devices survive a kernel reset, so a stack
-        // whose device bus was touched can no longer promise cold-boot
-        // identity on recycle.
-        self.forkable = false;
+        self.state.forkable = false;
         self.kernel.devices_mut()
     }
 
     fn inject_crash(&mut self, name: &str) -> bool {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.kill_named(name)
     }
 
     fn arm_ipc_fault(&mut self, fault: bas_sim::fault::IpcFault, count: u32) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.ipc_faults_mut().arm(fault, count);
     }
 
@@ -1161,24 +1002,24 @@ impl PlatformKernel for MinixStack {
     }
 
     fn skew_clock(&mut self, d: SimDuration) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.skew_clock(d);
     }
 
     fn apply_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp) -> bool {
-        self.ran = true;
+        self.state.ran = true;
         // Instance names are MINIX process names verbatim; the kernel
         // resolves them to ACM principals itself.
         self.kernel.apply_cap_churn(op)
     }
 
     fn arm_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp, after_checks: u32) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.arm_cap_churn(op, after_checks);
     }
 
     fn enable_cap_trace(&mut self) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.enable_cap_trace();
     }
 

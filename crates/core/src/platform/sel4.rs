@@ -10,7 +10,6 @@
 //! kernel-enforced identity of the capability system.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use bas_camkes::codegen::{compile, GlueMap};
@@ -19,8 +18,6 @@ use bas_capdl::realize::{realize, RealizedSystem};
 use bas_capdl::spec::CapDlSpec;
 use bas_capdl::verify::verify;
 use bas_plant::devices::install_devices;
-use bas_plant::world::PlantWorld;
-use bas_plant::SharedPlant;
 use bas_sel4::cap::CPtr;
 use bas_sel4::kernel::{Sel4Config, Sel4Kernel, Sel4Thread};
 use bas_sel4::syscall::{Reply, Syscall};
@@ -28,15 +25,12 @@ use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
-use crate::engine::{PlatformKernel, ScenarioEngine};
+use crate::engine::{PlatformKernel, ScenarioEngine, StackState};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{
-    new_request_log, shared_schedule, RequestLog, RequestSample, ScheduleCursor, SharedSchedule,
-    WebAction, WebSchedule,
-};
+use crate::logic::web::{WebAction, WebSession, WebStep};
 use crate::policy::{self, actuator_rpc, ctrl_rpc, instances};
 use crate::proto::BasMsg;
-use crate::scenario::{new_web_log, Platform, ScenarioConfig, WebLog};
+use crate::scenario::{Platform, ScenarioConfig};
 
 fn encode_i32(v: i32) -> u64 {
     u64::from(v as u32)
@@ -353,22 +347,12 @@ impl Process for Sel4Actuator {
 // Web interface thread (benign)
 // ---------------------------------------------------------------------------
 
-/// The benign web interface thread: scripted administrator RPCs.
-///
-/// Same-tick bursts drain in one wake (back-to-back RPCs with no
-/// intervening `GetTime`), and completed requests are stamped into the
-/// optional [`RequestLog`] at the next clock read — see [`MinixWeb`]
-/// for the shared rationale.
-///
-/// [`MinixWeb`]: crate::platform::minix::MinixWeb
+/// The benign web interface thread: scripted administrator RPCs. Its
+/// [`WebSession`] decides what to send and when; this thread adds the
+/// CAmkES RPC encoding and decodes the reply words by the request sent.
 pub struct Sel4Web {
     ctrl: RpcClient,
-    schedule: ScheduleCursor,
-    responses: WebLog,
-    requests: Option<RequestLog>,
-    pending: VecDeque<(SimTime, WebAction)>,
-    inflight: Option<(SimTime, WebAction)>,
-    unstamped: Vec<(SimTime, WebAction, bool)>,
+    session: WebSession,
     state: WebSt,
 }
 
@@ -380,34 +364,22 @@ enum WebSt {
 }
 
 impl Sel4Web {
-    /// Creates the benign web interface over a private schedule copy.
-    pub fn new(ctrl: RpcClient, schedule: WebSchedule, responses: WebLog) -> Self {
-        Sel4Web::with_cursor(ctrl, ScheduleCursor::detached(&schedule), responses, None)
-    }
-
-    /// Creates the benign web interface over a shared schedule cell,
-    /// stamping completed requests into `requests`.
-    pub fn with_cursor(
-        ctrl: RpcClient,
-        schedule: ScheduleCursor,
-        responses: WebLog,
-        requests: Option<RequestLog>,
-    ) -> Self {
+    /// Creates the benign web interface calling the controller through
+    /// `ctrl`.
+    pub fn new(ctrl: RpcClient, session: WebSession) -> Self {
         Sel4Web {
             ctrl,
-            schedule,
-            responses,
-            requests,
-            pending: VecDeque::new(),
-            inflight: None,
-            unstamped: Vec::new(),
+            session,
             state: WebSt::Start,
         }
     }
 
-    fn send_next(&mut self) -> Action<Syscall> {
-        let (scheduled, action) = self.pending.pop_front().expect("pending action");
-        self.inflight = Some((scheduled, action));
+    fn read_clock(&mut self) -> Action<Syscall> {
+        self.state = WebSt::AwaitTime;
+        Action::Syscall(Syscall::GetTime)
+    }
+
+    fn send(&mut self, action: WebAction) -> Action<Syscall> {
         self.state = WebSt::AwaitRpc;
         match action {
             WebAction::SetSetpoint(mc) => {
@@ -415,24 +387,6 @@ impl Sel4Web {
             }
             WebAction::QueryStatus => Action::Syscall(self.ctrl.call(ctrl_rpc::GET_STATUS, vec![])),
         }
-    }
-
-    fn stamp_completions(&mut self, now: SimTime) {
-        if self.unstamped.is_empty() {
-            return;
-        }
-        if let Some(log) = &self.requests {
-            let mut log = log.borrow_mut();
-            for &(scheduled, action, ok) in &self.unstamped {
-                log.push(RequestSample {
-                    scheduled,
-                    completed: now,
-                    action,
-                    ok,
-                });
-            }
-        }
-        self.unstamped.clear();
     }
 }
 
@@ -442,73 +396,43 @@ impl Process for Sel4Web {
 
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match self.state {
-            WebSt::Start => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
-            }
+            WebSt::Start | WebSt::AwaitSleep => self.read_clock(),
             WebSt::AwaitTime => {
                 let now = match reply {
                     Some(Reply::Time(t)) => t,
                     _ => SimTime::ZERO,
                 };
-                self.stamp_completions(now);
-                if self.pending.is_empty() {
-                    let mut due = Vec::new();
-                    self.schedule.drain_due(now, &mut due);
-                    self.pending.extend(due);
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                match self.schedule.next_time() {
-                    None => {
+                match self.session.on_clock(now) {
+                    WebStep::Send(action) => self.send(action),
+                    WebStep::Sleep(duration) => {
                         self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep {
-                            duration: SimDuration::from_secs(3_600),
-                        })
-                    }
-                    Some(t) => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep { duration: t - now })
+                        Action::Syscall(Syscall::Sleep { duration })
                     }
                 }
-            }
-            WebSt::AwaitSleep => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
             }
             WebSt::AwaitRpc => {
-                let mut ok = false;
-                if let Some(Reply::Msg(m)) = reply {
-                    let decoded = match self.inflight {
-                        Some((_, WebAction::SetSetpoint(_))) if !m.words.is_empty() => {
-                            Some(BasMsg::Ack {
-                                code: m.words[0] as u32,
-                            })
-                        }
-                        Some((_, WebAction::QueryStatus)) if m.words.len() >= 4 => {
-                            Some(BasMsg::Status {
-                                temp_milli_c: decode_i32(m.words[0]),
-                                setpoint_milli_c: decode_i32(m.words[1]),
-                                fan_on: m.words[2] != 0,
-                                alarm_on: m.words[3] != 0,
-                            })
-                        }
-                        _ => None,
-                    };
-                    if let Some(d) = decoded {
-                        self.responses.borrow_mut().push(d);
-                        ok = true;
+                let decoded = match (reply, self.session.inflight()) {
+                    (Some(Reply::Msg(m)), Some(WebAction::SetSetpoint(_)))
+                        if !m.words.is_empty() =>
+                    {
+                        Some(BasMsg::Ack {
+                            code: m.words[0] as u32,
+                        })
                     }
+                    (Some(Reply::Msg(m)), Some(WebAction::QueryStatus)) if m.words.len() >= 4 => {
+                        Some(BasMsg::Status {
+                            temp_milli_c: decode_i32(m.words[0]),
+                            setpoint_milli_c: decode_i32(m.words[1]),
+                            fan_on: m.words[2] != 0,
+                            alarm_on: m.words[3] != 0,
+                        })
+                    }
+                    _ => None,
+                };
+                match self.session.on_reply(decoded) {
+                    Some(action) => self.send(action),
+                    None => self.read_clock(),
                 }
-                if let Some((scheduled, action)) = self.inflight.take() {
-                    self.unstamped.push((scheduled, action, ok));
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
             }
         }
     }
@@ -554,8 +478,8 @@ pub struct Sel4Overrides {
     pub compiled: Option<(Arc<CapDlSpec>, Arc<GlueMap>)>,
 }
 
-/// The booted seL4/CAmkES stack: kernel, compiled CapDL artifacts, plant,
-/// and web log.
+/// The booted seL4/CAmkES stack: kernel, compiled CapDL artifacts and
+/// platform-free state.
 pub struct Sel4Stack {
     /// The simulated kernel (public for experiment introspection).
     pub kernel: Sel4Kernel,
@@ -566,23 +490,7 @@ pub struct Sel4Stack {
     pub sys: RealizedSystem,
     /// Slot/badge layout. `Arc`: boot-time state, shareable across forks.
     pub glue: Arc<GlueMap>,
-    plant: SharedPlant,
-    web_log: WebLog,
-    /// The effective action schedule, shared with the benign web thread
-    /// and re-imaged per instance on recycling (the thread realized at
-    /// boot holds a cursor over this cell, so the pristine fast path —
-    /// which skips re-realization — still picks up new traffic).
-    web_schedule: SharedSchedule,
-    /// Completed-request stamps from the benign web thread.
-    web_requests: RequestLog,
-    /// False when attacker overrides (web factory, extra caps) booted
-    /// this stack: those are one-shot, so a recycled kernel cannot
-    /// guarantee cold-boot identity.
-    forkable: bool,
-    /// True once anything mutated the kernel after boot. While false the
-    /// stack is still the boot template verbatim (the seed only reaches
-    /// the plant), so recycling skips the kernel reset and re-realize.
-    ran: bool,
+    state: StackState,
 }
 
 impl Sel4Stack {
@@ -651,28 +559,21 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
         }
     };
 
-    let plant: SharedPlant = Rc::new(std::cell::RefCell::new(PlantWorld::new(
-        config.synced_plant(),
-        config.seed,
-    )));
-
+    let state = StackState::new(
+        config,
+        overrides.web_factory.is_none() && overrides.extra_caps.is_empty(),
+    );
     let mut kernel = Sel4Kernel::new(Sel4Config {
         max_threads: config.max_procs,
         cost_model: config.cost_model,
         ..Sel4Config::default()
     });
-    install_devices(&plant, kernel.devices_mut());
+    install_devices(state.plant(), kernel.devices_mut());
 
-    let web_log = new_web_log();
-    let web_schedule = shared_schedule(config.effective_web_schedule());
-    let web_requests = new_request_log();
-    let forkable = overrides.web_factory.is_none() && overrides.extra_caps.is_empty();
     let mut loader = scenario_loader(
         config,
         glue.clone(),
-        web_log.clone(),
-        web_schedule.clone(),
-        web_requests.clone(),
+        state.web_session(),
         overrides.web_factory,
     );
 
@@ -698,6 +599,19 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
             .expect("ablation cap fits");
     }
 
+    start_threads(&mut kernel, &sys);
+
+    Sel4Stack {
+        kernel,
+        spec,
+        sys,
+        glue,
+        state,
+    }
+}
+
+/// Starts the five scenario threads realized from the spec.
+fn start_threads(kernel: &mut Sel4Kernel, sys: &RealizedSystem) {
     for name in [
         instances::CONTROL,
         instances::HEATER,
@@ -707,30 +621,15 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
     ] {
         kernel.start_thread(sys.threads[name]);
     }
-
-    Sel4Stack {
-        kernel,
-        spec,
-        sys,
-        glue,
-        plant,
-        web_log,
-        web_schedule,
-        web_requests,
-        forkable,
-        ran: false,
-    }
 }
 
 /// The boot-time thread loader over a compiled glue map, shared verbatim
-/// between cold boot and [`PlatformKernel::reset_to_boot`]: the realizer
-/// calls it once per CapDL instance, in spec order.
+/// between cold boot and [`PlatformKernel::reboot`]: the realizer calls
+/// it once per CapDL instance, in spec order.
 fn scenario_loader(
     config: &ScenarioConfig,
     glue: Arc<GlueMap>,
-    web_log: WebLog,
-    web_schedule: SharedSchedule,
-    web_requests: RequestLog,
+    web: WebSession,
     mut web_factory: Option<WebThreadFactory>,
 ) -> impl FnMut(&str) -> Option<Sel4Thread> {
     let control_config = config.control;
@@ -763,11 +662,9 @@ fn scenario_loader(
             ))),
             x if x == instances::WEB => match web_factory.take() {
                 Some(factory) => Some(factory(g)),
-                None => Some(Box::new(Sel4Web::with_cursor(
+                None => Some(Box::new(Sel4Web::new(
                     RpcClient::new(g.client_slot(instances::WEB, "ctrl")?),
-                    ScheduleCursor::new(web_schedule.clone()),
-                    web_log.clone(),
-                    Some(web_requests.clone()),
+                    web.clone(),
                 ))),
             },
             _ => None,
@@ -783,17 +680,33 @@ impl PlatformKernel for Sel4Stack {
         boot_sel4(config, overrides)
     }
 
+    fn state(&self) -> &StackState {
+        &self.state
+    }
+
+    fn state_mut(&mut self) -> &mut StackState {
+        &mut self.state
+    }
+
+    fn reboot(&mut self, config: &ScenarioConfig) {
+        self.kernel.reset_to_boot();
+        // Re-realize the shared spec: objects and threads come back in
+        // spec order, so ids and CSpace layouts match a cold boot. The
+        // boot-time CapDL verification is skipped — `verify` is a pure
+        // function of (spec, kernel, sys), all reconstructed identically
+        // to the template boot that already passed it.
+        let mut loader = scenario_loader(config, self.glue.clone(), self.state.web_session(), None);
+        self.sys = realize(&self.spec, &mut self.kernel, &mut loader).expect("scenario realizes");
+        start_threads(&mut self.kernel, &self.sys);
+    }
+
     fn now(&self) -> SimTime {
         self.kernel.now()
     }
 
     fn run_until(&mut self, target: SimTime) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.run_until(target);
-    }
-
-    fn plant(&self) -> SharedPlant {
-        self.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -808,74 +721,18 @@ impl PlatformKernel for Sel4Stack {
         self.kernel.trace().events_in(category).count()
     }
 
-    fn web_responses(&self) -> Vec<BasMsg> {
-        self.web_log.borrow().clone()
-    }
-
-    fn web_requests(&self) -> Vec<RequestSample> {
-        self.web_requests.borrow().clone()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        if !self.forkable {
-            return false;
-        }
-        // Re-image the shared schedule cell first: under traffic the
-        // schedule is seed-derived, and the realized web thread (on the
-        // pristine path below, the *boot-time* thread with its cursor
-        // still at the front) reads this cell lazily.
-        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
-        if self.ran {
-            self.kernel.reset_to_boot();
-            // Re-realize the shared spec: objects and threads come back in
-            // spec order, so ids and CSpace layouts match a cold boot. The
-            // boot-time CapDL verification is skipped — `verify` is a pure
-            // function of (spec, kernel, sys), all reconstructed identically
-            // to the template boot that already passed it.
-            let mut loader = scenario_loader(
-                config,
-                self.glue.clone(),
-                self.web_log.clone(),
-                self.web_schedule.clone(),
-                self.web_requests.clone(),
-                None,
-            );
-            self.sys =
-                realize(&self.spec, &mut self.kernel, &mut loader).expect("scenario realizes");
-            for name in [
-                instances::CONTROL,
-                instances::HEATER,
-                instances::ALARM,
-                instances::SENSOR,
-                instances::WEB,
-            ] {
-                self.kernel.start_thread(self.sys.threads[name]);
-            }
-            self.ran = false;
-        }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the plant). Re-seed the plant in place: the
-        // `Rc` identity is what the installed plant devices hold.
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
-        self.web_log.borrow_mut().clear();
-        self.web_requests.borrow_mut().clear();
-        true
-    }
-
     fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {
-        // Interposed fault devices survive a kernel reset, so recycling
-        // can no longer promise cold-boot identity.
-        self.forkable = false;
+        self.state.forkable = false;
         self.kernel.devices_mut()
     }
 
     fn inject_crash(&mut self, name: &str) -> bool {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.kill_named(name)
     }
 
     fn arm_ipc_fault(&mut self, fault: bas_sim::fault::IpcFault, count: u32) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.ipc_faults_mut().arm(fault, count);
     }
 
@@ -883,13 +740,13 @@ impl PlatformKernel for Sel4Stack {
         self.kernel.ipc_faults().applied()
     }
 
-    fn skew_clock(&mut self, d: bas_sim::time::SimDuration) {
-        self.ran = true;
+    fn skew_clock(&mut self, d: SimDuration) {
+        self.state.ran = true;
         self.kernel.skew_clock(d);
     }
 
     fn apply_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp) -> bool {
-        self.ran = true;
+        self.state.ran = true;
         match self.churn_sweep(op) {
             Some(sweep) => self.kernel.apply_churn_sweep(&sweep),
             None => false,
@@ -897,14 +754,14 @@ impl PlatformKernel for Sel4Stack {
     }
 
     fn arm_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp, after_checks: u32) {
-        self.ran = true;
+        self.state.ran = true;
         if let Some(sweep) = self.churn_sweep(op) {
             self.kernel.arm_churn_sweep(sweep, after_checks);
         }
     }
 
     fn enable_cap_trace(&mut self) {
-        self.ran = true;
+        self.state.ran = true;
         self.kernel.enable_cap_trace();
     }
 

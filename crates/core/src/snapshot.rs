@@ -267,16 +267,17 @@ mod tests {
     /// Attack-override stacks refuse to recycle (the byte-identity gate).
     #[test]
     fn overridden_stack_refuses_recycle() {
-        use crate::logic::web::WebSchedule;
+        use crate::logic::web::{new_request_log, shared_schedule, WebSession};
         use crate::platform::minix::{build_minix, MinixOverrides, MinixWeb};
 
         let config = ScenarioConfig::quiet();
         let overrides = MinixOverrides {
             web_factory: Some(Box::new(|| {
-                Box::new(MinixWeb::new(
-                    WebSchedule::new(Vec::new()),
+                Box::new(MinixWeb::new(WebSession::new(
+                    shared_schedule(Vec::new()),
                     crate::scenario::new_web_log(),
-                ))
+                    new_request_log(),
+                )))
             })),
             ..MinixOverrides::default()
         };
