@@ -595,7 +595,12 @@ impl Process for MinixWeb {
             WebSt::AwaitLookup => match reply {
                 Some(Reply::Resolved(ep)) => {
                     self.control = Some(ep);
-                    self.read_clock()
+                    // After a re-resolution the burst request left in
+                    // flight goes to the new endpoint first.
+                    match self.session.inflight() {
+                        Some(action) => self.send(action),
+                        None => self.read_clock(),
+                    }
                 }
                 _ => {
                     self.retries += 1;
@@ -629,11 +634,23 @@ impl Process for MinixWeb {
             }
             WebSt::AwaitSleep => self.read_clock(),
             WebSt::AwaitRpc => {
+                // A dead destination means the controller was restarted
+                // under a new endpoint generation: re-resolve it through
+                // the name service, as the sensor does.
+                let dead = matches!(reply, Some(Reply::Err(MinixError::DeadSourceOrDestination)));
                 let decoded = match reply {
                     Some(Reply::Msg(m)) => BasMsg::from_minix(m.mtype, &m.payload).ok(),
                     _ => None,
                 };
-                match self.session.on_reply(decoded) {
+                let next = self.session.on_reply(decoded);
+                if dead {
+                    self.retries = 0;
+                    self.state = WebSt::AwaitRetrySleep;
+                    return Action::Syscall(Syscall::Sleep {
+                        duration: LOOKUP_RETRY,
+                    });
+                }
+                match next {
                     // Burst tail: next RPC immediately, no clock read.
                     Some(action) => self.send(action),
                     None => self.read_clock(),

@@ -9,10 +9,15 @@
 //! scheduled virtual time rather than after a resume count.
 
 use bas_core::engine::PlatformKernel;
+use bas_core::logic::web::WebAction;
 use bas_core::platform::minix::{build_minix, MinixOverrides};
 use bas_core::proto::names;
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
-use bas_sim::time::SimDuration;
+use bas_sim::time::{SimDuration, SimTime};
+
+fn at_secs(secs: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_secs(secs)
+}
 
 /// Heater driver crashes mid-run; without supervision the fan freezes and
 /// the controller can only escalate to the alarm.
@@ -82,18 +87,37 @@ fn heater_crash_with_supervision_recovers_control() {
 }
 
 /// Even the controller itself can crash and be reincarnated; the sensor
-/// re-resolves the restarted controller's new endpoint generation and the
-/// loop closes again.
+/// and the web interface re-resolve the restarted controller's new
+/// endpoint generation, the loop closes again and queries are answered.
 #[test]
 fn controller_crash_with_supervision_recovers() {
     let overrides = MinixOverrides {
         supervise: true,
         ..MinixOverrides::default()
     };
-    let mut s = build_minix(&ScenarioConfig::quiet(), overrides);
+    let config = ScenarioConfig {
+        web_schedule: (1..60)
+            .map(|i| (at_secs(30 * i), WebAction::QueryStatus))
+            .collect(),
+        ..ScenarioConfig::quiet()
+    };
+    let mut s = build_minix(&config, overrides);
     s.run_for(SimDuration::from_mins(2));
     assert!(s.stack.inject_crash(names::CONTROL), "controller was alive");
     s.run_for(SimDuration::from_mins(28));
+
+    // Queries scheduled once the supervisor's restart has settled must
+    // all be answered by the new controller.
+    let requests = s.request_samples();
+    assert_eq!(requests.len(), 59, "every query completed: {requests:?}");
+    let settled = at_secs(150);
+    let after: Vec<_> = requests.iter().filter(|r| r.scheduled >= settled).collect();
+    assert!(
+        after.iter().all(|r| r.ok),
+        "queries after the restart failed: {} of {}",
+        after.iter().filter(|r| !r.ok).count(),
+        after.len()
+    );
 
     assert!(
         critical_alive(&s),
