@@ -37,12 +37,6 @@ use bas_bench::{rule, section, verdict, Harness};
 use bas_core::platform::linux::UidScheme;
 use bas_fleet::Json;
 
-fn state_budget_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let idx = args.iter().position(|a| a == "--state-budget")?;
-    args.get(idx + 1)?.parse().ok()
-}
-
 fn is_resource_attack(a: AttackId) -> bool {
     matches!(
         a,
@@ -55,7 +49,9 @@ fn main() {
     let scheme = UidScheme::SharedAccount;
     let opts = ExploreOpts {
         use_por: true,
-        state_budget: state_budget_arg().unwrap_or(if h.quick() { 500_000 } else { 2_000_000 }),
+        state_budget: h
+            .state_budget()
+            .unwrap_or(if h.quick() { 500_000 } else { 2_000_000 }),
         workers: 1,
     };
     let sweep_workers = h.workers();

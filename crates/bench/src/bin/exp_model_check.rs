@@ -37,12 +37,6 @@ use bas_core::platform::linux::UidScheme;
 use bas_core::scenario::Platform;
 use bas_fleet::Json;
 
-fn state_budget_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let idx = args.iter().position(|a| a == "--state-budget")?;
-    args.get(idx + 1)?.parse().ok()
-}
-
 fn expectation_str(e: Expectation) -> &'static str {
     match e {
         Expectation::Compromised => "Compromised",
@@ -95,7 +89,7 @@ fn main() {
     // dashboards don't assume layer parallelism contributed.
     let opts = ExploreOpts {
         use_por: true,
-        state_budget: state_budget_arg().unwrap_or(2_000_000),
+        state_budget: h.state_budget().unwrap_or(2_000_000),
         workers: 1,
     };
     let sweep_workers = h.workers();

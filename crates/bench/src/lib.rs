@@ -53,41 +53,61 @@ use bas_fleet::{Json, JsonWriter};
 /// - `--platform linux|minix|sel4` — restrict [`Harness::platforms`].
 /// - `--workers N` — worker threads for parallel experiments
 ///   ([`Harness::workers`]; defaults to the available cores).
+/// - `--state-budget N` — state cap for model-checking experiments
+///   ([`Harness::state_budget`]).
+///
+/// A malformed `--platform`, or a `--workers` or `--state-budget` value
+/// that is not a positive integer, exits with status 2.
 pub struct Harness {
     name: &'static str,
     quick: bool,
     json: bool,
     platform_filter: Option<Platform>,
     workers: usize,
+    state_budget: Option<usize>,
 }
 
 impl Harness {
     /// Parses the process arguments. `name` becomes the JSON file stem.
     pub fn new(name: &'static str) -> Harness {
         let args: Vec<String> = std::env::args().collect();
-        let platform_filter = args.iter().position(|a| a == "--platform").map(|idx| {
-            match args.get(idx + 1).map(String::as_str) {
-                Some("linux") => Platform::Linux,
-                Some("minix") => Platform::Minix,
-                Some("sel4") => Platform::Sel4,
-                other => {
-                    eprintln!("unknown platform {other:?}; expected linux|minix|sel4");
-                    std::process::exit(2);
-                }
+        Harness::parse(name, &args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (flags in any order, program name allowed).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when `--platform` is not one of
+    /// `linux|minix|sel4`, or when `--workers` or `--state-budget` lacks
+    /// a positive integer value.
+    pub fn parse(name: &'static str, args: &[String]) -> Result<Harness, String> {
+        let platform_filter = match flag_value(args, "--platform") {
+            None => None,
+            Some(Some("linux")) => Some(Platform::Linux),
+            Some(Some("minix")) => Some(Platform::Minix),
+            Some(Some("sel4")) => Some(Platform::Sel4),
+            Some(other) => {
+                return Err(format!(
+                    "unknown platform {other:?}; expected linux|minix|sel4"
+                ))
             }
-        });
-        let workers = args
-            .iter()
-            .position(|a| a == "--workers")
-            .and_then(|idx| args.get(idx + 1)?.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        Harness {
+        };
+        let workers = match positive_arg(args, "--workers")? {
+            Some(n) => n,
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
+        Ok(Harness {
             name,
             quick: args.iter().any(|a| a == "--quick"),
             json: args.iter().any(|a| a == "--json"),
             platform_filter,
-            workers: workers.max(1),
-        }
+            workers,
+            state_budget: positive_arg(args, "--state-budget")?,
+        })
     }
 
     /// True when `--quick` was passed.
@@ -118,6 +138,11 @@ impl Harness {
     /// available cores (at least 1).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// The model-checking state cap from `--state-budget N`, if passed.
+    pub fn state_budget(&self) -> Option<usize> {
+        self.state_budget
     }
 
     /// The platforms this run covers, in canonical matrix order.
@@ -173,6 +198,28 @@ impl Harness {
     }
 }
 
+/// The value after `flag`: `None` when the flag is absent, `Some(None)`
+/// when it ends the argument list.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>> {
+    let idx = args.iter().position(|a| a == flag)?;
+    Some(args.get(idx + 1).map(String::as_str))
+}
+
+/// The value after `flag` as a positive integer, `None` when the flag is
+/// absent.
+fn positive_arg(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    match flag_value(args, flag) {
+        None => Ok(None),
+        Some(value) => match value.map(str::parse::<usize>) {
+            Some(Ok(n)) if n > 0 => Ok(Some(n)),
+            _ => Err(format!(
+                "{flag} expects a positive integer, got {}",
+                value.map_or("nothing".to_string(), |v| format!("{v:?}"))
+            )),
+        },
+    }
+}
+
 /// Prints a section header.
 pub fn section(title: &str) {
     println!();
@@ -190,5 +237,59 @@ pub fn verdict(b: bool, yes: &str, no: &str) -> String {
         yes.to_string()
     } else {
         no.to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Harness, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Harness::parse("test", &args)
+    }
+
+    #[test]
+    fn flags_parse_in_any_order() {
+        let h = parse(&[
+            "exp",
+            "--state-budget",
+            "500000",
+            "--quick",
+            "--workers",
+            "3",
+        ])
+        .expect("valid flags");
+        assert!(h.quick() && !h.json());
+        assert_eq!(h.workers(), 3);
+        assert_eq!(h.state_budget(), Some(500_000));
+        assert_eq!(h.platform_filter(), None);
+
+        let h = parse(&["exp", "--platform", "sel4"]).expect("valid platform");
+        assert_eq!(h.platforms(), vec![Platform::Sel4]);
+        assert_eq!(h.state_budget(), None);
+        assert!(h.workers() >= 1, "defaults to the available cores");
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        for args in [
+            &["--workers", "abc"][..],
+            &["--workers", "0"],
+            &["--workers"],
+            &["--state-budget", "many"],
+            &["--state-budget", "0"],
+            &["--state-budget", "-5"],
+            &["--platform", "windows"],
+            &["--platform"],
+        ] {
+            let err = parse(args)
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} accepted"));
+            assert!(
+                err.contains(args[0].trim_start_matches('-')),
+                "{args:?}: {err}"
+            );
+        }
     }
 }
