@@ -84,7 +84,7 @@ impl Harness {
     /// Returns a message naming the flag when `--platform` is not one of
     /// `linux|minix|sel4`, or when `--workers` or `--state-budget` lacks
     /// a positive integer value.
-    pub fn parse(name: &'static str, args: &[String]) -> Result<Harness, String> {
+    fn parse(name: &'static str, args: &[String]) -> Result<Harness, String> {
         let platform_filter = match flag_value(args, "--platform") {
             None => None,
             Some(Some("linux")) => Some(Platform::Linux),

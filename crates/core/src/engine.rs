@@ -58,7 +58,7 @@ pub struct StackState {
 impl StackState {
     /// The boot-time state under `config`. `forkable` is false when
     /// attacker overrides booted the stack.
-    pub fn new(config: &ScenarioConfig, forkable: bool) -> Self {
+    pub(crate) fn new(config: &ScenarioConfig, forkable: bool) -> Self {
         StackState {
             plant: Rc::new(RefCell::new(PlantWorld::new(
                 config.synced_plant(),
@@ -73,12 +73,12 @@ impl StackState {
     }
 
     /// Handle to the physical world the kernel's devices are wired to.
-    pub fn plant(&self) -> &SharedPlant {
+    pub(crate) fn plant(&self) -> &SharedPlant {
         &self.plant
     }
 
     /// A fresh benign web session over this stack's shared cells.
-    pub fn web_session(&self) -> WebSession {
+    pub(crate) fn web_session(&self) -> WebSession {
         WebSession::new(
             self.web_schedule.clone(),
             self.web_log.clone(),
