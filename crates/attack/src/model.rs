@@ -109,8 +109,8 @@ impl std::fmt::Display for AttackId {
     }
 }
 
-/// Whether the attack *mechanism* worked, judged from syscall replies and
-/// kernel traces.
+/// Whether the attack *mechanism* worked, judged from the replies the
+/// attacker's syscalls received.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MechanismOutcome {
     /// The kernel accepted the malicious operations.

@@ -128,10 +128,12 @@ impl Process for Sink {
 }
 
 /// Ping-pongs `messages` rendezvous messages through one MINIX kernel
-/// with tracing off and a free cost model, returning (wall seconds,
-/// arena heap events). This is the IPC hot path with nothing else on
-/// it: stage payload into an arena slot, rendezvous, copy out, recycle.
-fn ipc_hot_path(messages: u64) -> (f64, u64) {
+/// with a free cost model, returning (wall seconds, arena heap events).
+/// This is the IPC hot path with nothing else on it: stage payload into
+/// an arena slot, rendezvous, copy out, recycle — plus, when `recorder`
+/// is on (the configuration every fleet instance runs), one event record
+/// per delivery.
+fn ipc_hot_path(messages: u64, recorder: bool) -> (f64, u64) {
     let acm = AccessControlMatrix::builder()
         .allow_all_types(PUMP_ID, SINK_ID)
         .build();
@@ -140,7 +142,9 @@ fn ipc_hot_path(messages: u64) -> (f64, u64) {
         cost_model: CostModel::free(),
         ..MinixConfig::default()
     });
-    k.disable_trace();
+    if !recorder {
+        k.disable_trace();
+    }
     let sink = k
         .spawn(
             "sink",
@@ -190,9 +194,9 @@ fn main() {
     // ------------------------------------------------------------------
     // Raw IPC hot path: the arena send/deliver cycle in isolation.
     // ------------------------------------------------------------------
-    section("IPC hot path: MINIX rendezvous ping-pong (trace off, free cost model)");
+    section("IPC hot path: MINIX rendezvous ping-pong (event recorder on, free cost model)");
     let hot_messages: u64 = if h.quick() { 200_000 } else { 1_000_000 };
-    let (hot_wall, hot_heap_events) = ipc_hot_path(hot_messages);
+    let (hot_wall, hot_heap_events) = ipc_hot_path(hot_messages, true);
     let hot_rate = hot_messages as f64 / hot_wall.max(1e-9);
     assert_eq!(
         hot_heap_events, 0,
@@ -202,6 +206,15 @@ fn main() {
         "{hot_messages} messages in {:.3}s: {:.2}M msg/s, {hot_heap_events} heap events",
         hot_wall,
         hot_rate / 1e6
+    );
+    // The same run with the recorder off prices the recorder itself.
+    let (bare_wall, _) = ipc_hot_path(hot_messages, false);
+    let bare_rate = hot_messages as f64 / bare_wall.max(1e-9);
+    let recorder_overhead = hot_wall / bare_wall.max(1e-9) - 1.0;
+    println!(
+        "recorder off: {:.2}M msg/s; recorder overhead on the hot path: {:+.1}%",
+        bare_rate / 1e6,
+        recorder_overhead * 100.0
     );
 
     // ------------------------------------------------------------------
@@ -457,6 +470,8 @@ fn main() {
         ("wall_seconds", Json::Num(hot_wall)),
         ("messages_per_second", Json::Num(hot_rate)),
         ("heap_events", Json::UInt(hot_heap_events)),
+        ("messages_per_second_recorder_off", Json::Num(bare_rate)),
+        ("recorder_overhead", Json::Num(recorder_overhead)),
     ]);
     let boot = Json::obj(vec![
         ("fleet_instances", Json::UInt(boot_instances as u64)),

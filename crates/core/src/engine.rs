@@ -24,6 +24,7 @@ use bas_sim::device::DeviceBus;
 use bas_sim::fault::IpcFault;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
+use bas_sim::trace::EventKind;
 
 use crate::logic::web::{
     new_request_log, shared_schedule, RequestLog, RequestSample, SharedSchedule, WebSession,
@@ -142,8 +143,8 @@ pub trait PlatformKernel {
     /// Names of live processes/threads.
     fn alive_names(&self) -> Vec<String>;
 
-    /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
-    fn trace_count(&self, category: &str) -> usize;
+    /// Exact number of kernel events of `kind` since boot.
+    fn event_count(&self, kind: EventKind) -> u64;
 
     // ----- fault-injection hooks (`bas-faults`) -----------------------------
 
@@ -294,8 +295,8 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
         self.stack.alive_names()
     }
 
-    fn trace_count(&self, category: &str) -> usize {
-        self.stack.trace_count(category)
+    fn event_count(&self, kind: EventKind) -> u64 {
+        self.stack.event_count(kind)
     }
 
     fn web_responses(&self) -> Vec<BasMsg> {

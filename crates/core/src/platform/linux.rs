@@ -29,6 +29,7 @@ use bas_sim::device::DeviceId;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
+use bas_sim::trace::EventKind;
 
 use crate::engine::{PlatformKernel, ScenarioEngine, StackState};
 use crate::logic::control::{actuator_level, ControlCore, Directive};
@@ -647,7 +648,6 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack 
         max_procs: config.max_procs,
         cost_model: config.cost_model,
         device_nodes,
-        ..LinuxConfig::default()
     });
     install_devices(state.plant(), kernel.devices_mut());
 
@@ -829,8 +829,8 @@ impl PlatformKernel for LinuxStack {
         self.kernel.alive_process_names()
     }
 
-    fn trace_count(&self, category: &str) -> usize {
-        self.kernel.trace().events_in(category).count()
+    fn event_count(&self, kind: EventKind) -> u64 {
+        self.kernel.event_count(kind)
     }
 
     fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {

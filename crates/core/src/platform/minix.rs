@@ -22,6 +22,7 @@ use bas_sim::device::DeviceId;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
+use bas_sim::trace::EventKind;
 
 use crate::engine::{PlatformKernel, ScenarioEngine, StackState};
 use crate::logic::control::{actuator_level, ControlCore, Directive};
@@ -995,8 +996,8 @@ impl PlatformKernel for MinixStack {
         self.kernel.alive_process_names()
     }
 
-    fn trace_count(&self, category: &str) -> usize {
-        self.kernel.trace().events_in(category).count()
+    fn event_count(&self, kind: EventKind) -> u64 {
+        self.kernel.event_count(kind)
     }
 
     fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {

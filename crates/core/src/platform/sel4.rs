@@ -24,6 +24,7 @@ use bas_sel4::syscall::{Reply, Syscall};
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
+use bas_sim::trace::EventKind;
 
 use crate::engine::{PlatformKernel, ScenarioEngine, StackState};
 use crate::logic::control::{ControlCore, Directive};
@@ -717,8 +718,8 @@ impl PlatformKernel for Sel4Stack {
         self.kernel.alive_thread_names()
     }
 
-    fn trace_count(&self, category: &str) -> usize {
-        self.kernel.trace().events_in(category).count()
+    fn event_count(&self, kind: EventKind) -> u64 {
+        self.kernel.event_count(kind)
     }
 
     fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {

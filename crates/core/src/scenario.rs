@@ -8,6 +8,7 @@ use bas_plant::SharedPlant;
 use bas_sim::clock::CostModel;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
+use bas_sim::trace::EventKind;
 use serde::{Deserialize, Serialize};
 
 use crate::logic::control::ControlConfig;
@@ -196,8 +197,8 @@ pub trait Scenario {
     /// Names of live processes/threads.
     fn alive_names(&self) -> Vec<String>;
 
-    /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
-    fn trace_count(&self, category: &str) -> usize;
+    /// Exact number of kernel events of `kind` since boot.
+    fn event_count(&self, kind: EventKind) -> u64;
 
     /// Responses observed by the web interface.
     fn web_responses(&self) -> Vec<BasMsg>;

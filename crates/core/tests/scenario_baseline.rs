@@ -8,6 +8,7 @@ use bas_core::platform::sel4::{build_sel4, Sel4Overrides};
 use bas_core::proto::BasMsg;
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
 use bas_sim::time::SimDuration;
+use bas_sim::trace::EventKind;
 
 fn assert_baseline_healthy(scenario: &mut dyn Scenario) {
     scenario.run_for(SimDuration::from_mins(30));
@@ -64,21 +65,21 @@ fn minix_baseline_regulates_and_stays_safe() {
     let mut s = build_minix(&ScenarioConfig::quiet(), MinixOverrides::default());
     assert_baseline_healthy(&mut s);
     // No denials in a benign run.
-    assert_eq!(s.trace_count("acm.deny"), 0);
+    assert_eq!(s.event_count(EventKind::AcmDeny), 0);
 }
 
 #[test]
 fn sel4_baseline_regulates_and_stays_safe() {
     let mut s = build_sel4(&ScenarioConfig::quiet(), Sel4Overrides::default());
     assert_baseline_healthy(&mut s);
-    assert_eq!(s.trace_count("cap.deny"), 0);
+    assert_eq!(s.event_count(EventKind::CapDeny), 0);
 }
 
 #[test]
 fn linux_baseline_regulates_and_stays_safe() {
     let mut s = build_linux(&ScenarioConfig::quiet(), LinuxOverrides::default());
     assert_baseline_healthy(&mut s);
-    assert_eq!(s.trace_count("dac.deny"), 0);
+    assert_eq!(s.event_count(EventKind::DacDeny), 0);
 }
 
 #[test]
@@ -225,7 +226,7 @@ fn hardened_linux_baseline_also_works() {
     let temp = plant.borrow().temperature_c();
     assert!((21.0..=23.0).contains(&temp), "temp {temp:.2}");
     assert_eq!(
-        s.trace_count("dac.deny"),
+        s.event_count(EventKind::DacDeny),
         0,
         "legitimate flows all pass the hardened modes"
     );
@@ -276,10 +277,12 @@ fn soak_eight_simulated_hours_stays_regulated() {
     assert!(plant.safety_report().is_safe());
     assert!(plant.safety_report().in_band_fraction > 0.99);
     assert!(critical_alive(&s));
+    // The recorder's counts are exact over the whole run: every spawn is
+    // one `processes_created` and one `proc.spawn` event.
     assert_eq!(
-        s.stack.kernel.trace().dropped(),
-        0,
-        "trace stayed within capacity"
+        s.event_count(EventKind::ProcSpawn),
+        s.metrics().processes_created,
+        "spawn events match the kernel counter"
     );
     assert_eq!(s.metrics().processes_created, 6, "no process churn");
 }

@@ -25,10 +25,11 @@ use bas_sim::process::{Action, Pid, ProcState, ProgramFactory};
 use bas_sim::sched::RunQueue;
 use bas_sim::time::{SimDuration, SimTime};
 use bas_sim::timer::TimerQueue;
-use bas_sim::trace::TraceLog;
+use bas_sim::trace::{EventKind, Recorder};
 
 use crate::cred::{Mode, Uid};
 use crate::error::LinuxError;
+use crate::event::LinuxEvent;
 use crate::mq::{MessageQueue, MqMessage, MQ_MSG_MAX};
 use crate::syscall::{MqAccess, Reply, Signal, Syscall};
 
@@ -54,8 +55,6 @@ pub struct LinuxConfig {
     pub cost_model: CostModel,
     /// `/dev` node ownership: device → (owner uid, mode).
     pub device_nodes: BTreeMap<DeviceId, (Uid, Mode)>,
-    /// Trace capacity in events.
-    pub trace_capacity: usize,
 }
 
 impl Default for LinuxConfig {
@@ -64,7 +63,6 @@ impl Default for LinuxConfig {
             max_procs: 64,
             cost_model: CostModel::default(),
             device_nodes: BTreeMap::new(),
-            trace_capacity: TraceLog::DEFAULT_CAPACITY,
         }
     }
 }
@@ -119,7 +117,7 @@ pub struct LinuxKernel {
     timers: TimerQueue,
     clock: VirtualClock,
     metrics: KernelMetrics,
-    trace: TraceLog,
+    events: Recorder<LinuxEvent>,
     devices: DeviceBus,
     device_nodes: BTreeMap<DeviceId, (Uid, Mode)>,
     max_procs: usize,
@@ -147,7 +145,7 @@ fn class_bits(uid: Uid, owner: Uid, group: Option<Uid>) -> u16 {
     }
 }
 
-/// Trace-only name lookup (runs inside lazy trace closures).
+/// Queue-name lookup for capability-event records.
 fn qname_of(queues: &[Option<MessageQueue>], qid: u32) -> &str {
     queues
         .get(qid as usize)
@@ -180,7 +178,7 @@ impl LinuxKernel {
             timers: TimerQueue::new(),
             clock: VirtualClock::new(config.cost_model),
             metrics: KernelMetrics::default(),
-            trace: TraceLog::with_capacity(config.trace_capacity),
+            events: Recorder::new(),
             devices: DeviceBus::new(),
             device_nodes: config.device_nodes,
             max_procs: config.max_procs,
@@ -209,7 +207,7 @@ impl LinuxKernel {
         self.timers.clear();
         self.clock.reset();
         self.metrics = KernelMetrics::default();
-        self.trace.clear();
+        self.events.clear();
         self.last_run = None;
         self.ipc_faults = IpcFaultState::default();
         self.cap_log = CapLog::new();
@@ -260,12 +258,10 @@ impl LinuxKernel {
             logic: Some(logic),
             pending_reply: None,
         });
-        self.names.insert(name.clone(), pid);
+        self.names.insert(name, pid);
         self.run_queue.enqueue(pid);
         self.metrics.processes_created += 1;
-        let now = self.clock.now();
-        self.trace
-            .record_with(now, Some(pid), "proc.spawn", || format!("{name} uid={uid}"));
+        self.record(Some(pid), LinuxEvent::ProcSpawn { uid: Uid::new(uid) });
         Ok(pid)
     }
 
@@ -344,9 +340,15 @@ impl LinuxKernel {
                 op.object.clone(),
             )
         });
-        self.trace.record_with(now, None, "cap.churn", || {
-            format!("{} mode {old:04o} -> {new:04o}", op.label())
-        });
+        self.record(
+            None,
+            LinuxEvent::CapChurn {
+                kind: op.kind,
+                qid,
+                old,
+                new,
+            },
+        );
         changed
     }
 
@@ -383,9 +385,7 @@ impl LinuxKernel {
         let Some(pid) = self.pid_of(name) else {
             return false;
         };
-        let now = self.clock.now();
-        self.trace
-            .record_with(now, Some(pid), "fault.crash", || format!("killed {name}"));
+        self.record(Some(pid), LinuxEvent::FaultCrash);
         self.terminate(pid);
         true
     }
@@ -394,10 +394,7 @@ impl LinuxKernel {
     /// tick-skew fault.
     pub fn skew_clock(&mut self, d: SimDuration) {
         self.clock.advance(d);
-        let now = self.clock.now();
-        self.trace.record_with(now, None, "fault.clock", || {
-            format!("skewed +{}ms", d.as_millis())
-        });
+        self.record(None, LinuxEvent::FaultClock { skew: d });
     }
 
     /// Pre-creates a message queue owned by `owner` (scenario-loader
@@ -476,14 +473,19 @@ impl LinuxKernel {
         &self.metrics
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    /// The event recorder: exact per-kind counts and the last events.
+    pub fn events(&self) -> &Recorder<LinuxEvent> {
+        &self.events
     }
 
-    /// Disables tracing (throughput benchmarks).
+    /// Exact number of `kind` events since boot.
+    pub fn event_count(&self, kind: EventKind) -> u64 {
+        self.events.count(kind)
+    }
+
+    /// Disables event recording (throughput benchmarks).
     pub fn disable_trace(&mut self) {
-        self.trace.disable();
+        self.events.disable();
     }
 
     /// True if the process is alive.
@@ -569,7 +571,8 @@ impl LinuxKernel {
     }
 
     fn fire_due_timers(&mut self) {
-        for pid in self.timers.pop_due(self.clock.now()) {
+        let now = self.clock.now();
+        while let Some(pid) = self.timers.pop_due(now) {
             if let Some(entry) = self.entry_mut(pid) {
                 if matches!(entry.state, ProcState::Sleeping) {
                     entry.state = ProcState::Runnable;
@@ -611,9 +614,7 @@ impl LinuxKernel {
             }
             Action::Yield => self.run_queue.enqueue(pid),
             Action::Exit(code) => {
-                let now = self.clock.now();
-                self.trace
-                    .record_with(now, Some(pid), "proc.exit", || format!("code={code}"));
+                self.record(Some(pid), LinuxEvent::ProcExit { code });
                 self.terminate(pid);
             }
         }
@@ -690,11 +691,15 @@ impl LinuxKernel {
                         Mode::new(attr.mode),
                         attr.capacity,
                     ));
-                    let now = self.clock.now();
-                    self.trace.record_with(now, Some(pid), "mq.create", || {
-                        format!("{name} mode={:04o}", attr.mode)
-                    });
+                    self.record(
+                        Some(pid),
+                        LinuxEvent::MqCreate {
+                            qid,
+                            mode: attr.mode,
+                        },
+                    );
                     if self.cap_log.enabled() {
+                        let now = self.clock.now();
                         let subject = self.entry_ref(pid).expect("caller").name.clone();
                         self.cap_log.record_with(now, CapOp::Grant, true, || {
                             (
@@ -735,10 +740,14 @@ impl LinuxKernel {
                 }
                 if !allowed {
                     self.metrics.access_denied += 1;
-                    let now = self.clock.now();
-                    self.trace.record_with(now, Some(pid), "dac.deny", || {
-                        format!("{uid} denied {name}")
-                    });
+                    self.record(
+                        Some(pid),
+                        LinuxEvent::MqDeny {
+                            uid,
+                            qid,
+                            err: LinuxError::AccessDenied,
+                        },
+                    );
                     self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
                     return;
                 }
@@ -787,11 +796,7 @@ impl LinuxKernel {
         let fault = self.ipc_faults.pop();
         match fault {
             Some(IpcFault::Drop) => {
-                let now = self.clock.now();
-                let queues = &self.queues;
-                self.trace.record_with(now, Some(pid), "fault.ipc", || {
-                    format!("drop {pid} -> {}", qname_of(queues, oq.qid))
-                });
+                self.record(Some(pid), LinuxEvent::IpcDropped { qid: oq.qid });
                 // mq_send reports success; the message never lands.
                 return self.ready_with(pid, Reply::Ok);
             }
@@ -799,15 +804,13 @@ impl LinuxKernel {
                 // The message sits in transit: the kernel pays the
                 // latency, then enqueues normally.
                 self.clock.advance(d);
-                let now = self.clock.now();
-                let queues = &self.queues;
-                self.trace.record_with(now, Some(pid), "fault.ipc", || {
-                    format!(
-                        "delay {pid} -> {} +{}ms",
-                        qname_of(queues, oq.qid),
-                        d.as_millis()
-                    )
-                });
+                self.record(
+                    Some(pid),
+                    LinuxEvent::IpcDelayed {
+                        qid: oq.qid,
+                        delay: d,
+                    },
+                );
             }
             Some(IpcFault::Duplicate) | None => {}
         }
@@ -870,11 +873,7 @@ impl LinuxKernel {
                 self.arena.free(dup);
             } else {
                 q.push(MqMessage::new(priority, dup).with_use_seq(use_seq));
-                let now = self.clock.now();
-                let queues = &self.queues;
-                self.trace.record_with(now, Some(pid), "fault.ipc", || {
-                    format!("duplicate {pid} -> {}", qname_of(queues, oq.qid))
-                });
+                self.record(Some(pid), LinuxEvent::IpcDuplicated { qid: oq.qid });
                 self.note_ipc(oq.qid, pid);
             }
         }
@@ -957,26 +956,23 @@ impl LinuxKernel {
 
     fn do_kill(&mut self, caller: Pid, target: Pid, signal: Signal) {
         let caller_uid = self.entry_ref(caller).expect("caller").uid;
-        let Some((target_uid, target_name)) =
-            self.entry_ref(target).map(|e| (e.uid, e.name.clone()))
-        else {
+        let Some(target_uid) = self.entry_ref(target).map(|e| e.uid) else {
             return self.ready_with(caller, Reply::Err(LinuxError::NoSuchProcess));
         };
         // The entire permission model: same uid or root.
         if !caller_uid.is_root() && caller_uid != target_uid {
             self.metrics.access_denied += 1;
-            let now = self.clock.now();
-            self.trace
-                .record_with(now, Some(caller), "signal.deny", || {
-                    format!("{caller_uid} may not signal {target_uid}")
-                });
+            self.record(
+                Some(caller),
+                LinuxEvent::SignalDeny {
+                    uid: caller_uid,
+                    target_uid,
+                    err: LinuxError::NotPermitted,
+                },
+            );
             return self.ready_with(caller, Reply::Err(LinuxError::NotPermitted));
         }
-        let now = self.clock.now();
-        self.trace
-            .record_with(now, Some(caller), "signal.kill", || {
-                format!("{caller} sent {signal:?} to {target} ({target_name})")
-            });
+        self.record(Some(caller), LinuxEvent::SignalKill { signal, target });
         self.terminate(target);
         if target != caller {
             self.ready_with(caller, Reply::Ok);
@@ -1004,17 +1000,20 @@ impl LinuxKernel {
         let (want_read, want_write) = (write.is_none(), write.is_some());
         if !mode.allows(uid, owner, want_read, want_write) {
             self.metrics.access_denied += 1;
-            let now = self.clock.now();
-            self.trace
-                .record_with(now, Some(pid), "dac.deny", || format!("{uid} denied {dev}"));
+            self.record(
+                Some(pid),
+                LinuxEvent::DevDeny {
+                    uid,
+                    dev,
+                    err: LinuxError::AccessDenied,
+                },
+            );
             return self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
         }
         match write {
             Some(value) => match self.devices.write(dev, value) {
                 Ok(()) => {
-                    let now = self.clock.now();
-                    self.trace
-                        .record_with(now, Some(pid), "dev.write", || format!("{dev} <- {value}"));
+                    self.record(Some(pid), LinuxEvent::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
                 }
                 Err(_) => self.ready_with(pid, Reply::Err(LinuxError::NoEntry)),
@@ -1143,11 +1142,11 @@ impl LinuxKernel {
         self.clock.charge_ipc_copy(64);
         self.metrics.ipc_bytes += 64;
         self.metrics.hot_path_allocs = self.arena.heap_events();
-        let now = self.clock.now();
-        let queues = &self.queues;
-        self.trace.record_with(now, Some(sender), "mq.send", || {
-            format!("{sender} -> {}", qname_of(queues, qid))
-        });
+        self.record(Some(sender), LinuxEvent::MqSend { qid });
+    }
+
+    fn record(&mut self, pid: Option<Pid>, detail: LinuxEvent) {
+        self.events.record(self.clock.now(), pid, detail);
     }
 
     // ----- termination ----------------------------------------------------------------

@@ -42,12 +42,14 @@
 
 pub mod cred;
 pub mod error;
+pub mod event;
 pub mod kernel;
 pub mod mq;
 pub mod syscall;
 
 pub use cred::{Mode, Uid};
 pub use error::LinuxError;
+pub use event::LinuxEvent;
 pub use kernel::{LinuxConfig, LinuxKernel, MqCreate};
 pub use mq::MqMessage;
 pub use syscall::{MqAccess, Reply, Signal, Syscall};

@@ -9,6 +9,7 @@ use bas_linux::syscall::{MqAccess, Reply, Signal, Syscall};
 use bas_sim::device::DeviceId;
 use bas_sim::script::{replies, Script};
 use bas_sim::time::SimDuration;
+use bas_sim::trace::EventKind;
 
 type S = Script<Syscall, Reply>;
 
@@ -109,7 +110,7 @@ fn dac_mode_denies_other_uid_without_permission() {
     k.run_to_quiescence();
     assert_eq!(replies(&log), vec![Reply::Err(LinuxError::AccessDenied)]);
     assert_eq!(k.metrics().access_denied, 1);
-    assert_eq!(k.trace().events_in("dac.deny").count(), 1);
+    assert_eq!(k.event_count(EventKind::DacDeny), 1);
 }
 
 #[test]
@@ -265,7 +266,7 @@ fn kill_same_uid_succeeds_cross_uid_fails() {
     k.run_to_quiescence();
     assert_eq!(replies(&same_log), vec![Reply::Ok]);
     assert!(!k.is_alive(victim));
-    assert_eq!(k.trace().events_in("signal.kill").count(), 1);
+    assert_eq!(k.event_count(EventKind::SignalKill), 1);
 }
 
 #[test]

@@ -29,10 +29,11 @@ use bas_sim::sched::RunQueue;
 use bas_sim::time::SimDuration;
 use bas_sim::time::SimTime;
 use bas_sim::timer::TimerQueue;
-use bas_sim::trace::TraceLog;
+use bas_sim::trace::{EventKind, Recorder};
 
 use crate::endpoint::Endpoint;
 use crate::error::MinixError;
+use crate::event::MinixEvent;
 use crate::grant::{GrantError, GrantId};
 use crate::message::{Message, Payload};
 use crate::pcb::{BlockReason, Pcb};
@@ -56,8 +57,6 @@ pub struct MinixConfig {
     pub quotas: QuotaTable,
     /// Which access-control identity owns each device.
     pub device_owners: BTreeMap<DeviceId, AcId>,
-    /// Trace capacity in events.
-    pub trace_capacity: usize,
 }
 
 impl Default for MinixConfig {
@@ -68,7 +67,6 @@ impl Default for MinixConfig {
             acm: AccessControlMatrix::deny_all(),
             quotas: QuotaTable::new(),
             device_owners: BTreeMap::new(),
-            trace_capacity: TraceLog::DEFAULT_CAPACITY,
         }
     }
 }
@@ -92,7 +90,7 @@ pub struct MinixKernel {
     timers: TimerQueue,
     clock: VirtualClock,
     metrics: KernelMetrics,
-    trace: TraceLog,
+    events: Recorder<MinixEvent>,
     devices: DeviceBus,
     programs: Vec<(String, ProgramFactory<Syscall, Reply>)>,
     names: BTreeMap<String, Endpoint>,
@@ -167,7 +165,7 @@ impl MinixKernel {
             timers: TimerQueue::new(),
             clock: VirtualClock::new(config.cost_model),
             metrics: KernelMetrics::default(),
-            trace: TraceLog::with_capacity(config.trace_capacity),
+            events: Recorder::new(),
             devices: DeviceBus::new(),
             programs: Vec::new(),
             names,
@@ -235,10 +233,14 @@ impl MinixKernel {
         self.names.insert(name.clone(), endpoint);
         self.run_queue.enqueue(pid);
         self.metrics.processes_created += 1;
-        self.trace
-            .record_with(self.clock.now(), Some(pid), "proc.spawn", || {
-                format!("{name} ac={ac_id} uid={uid} ep={endpoint}")
-            });
+        self.record(
+            Some(pid),
+            MinixEvent::ProcSpawn {
+                ac: ac_id,
+                uid,
+                ep: endpoint,
+            },
+        );
         Ok(endpoint)
     }
 
@@ -270,7 +272,7 @@ impl MinixKernel {
         self.timers.clear();
         self.clock.reset();
         self.metrics = KernelMetrics::default();
-        self.trace.clear();
+        self.events.clear();
         // The PM name is the only boot-time entry; every other name was
         // inserted by a spawn and dies with its process table.
         self.names.retain(|name, _| name == "pm");
@@ -305,10 +307,7 @@ impl MinixKernel {
         let Some(pid) = self.endpoint_of(name).and_then(|ep| self.lookup_live(ep)) else {
             return false;
         };
-        self.trace
-            .record_with(self.clock.now(), Some(pid), "fault.crash", || {
-                format!("killed {name}")
-            });
+        self.record(Some(pid), MinixEvent::FaultCrash);
         self.terminate(pid);
         true
     }
@@ -318,10 +317,7 @@ impl MinixKernel {
     /// actuators last held.
     pub fn skew_clock(&mut self, d: SimDuration) {
         self.clock.advance(d);
-        self.trace
-            .record_with(self.clock.now(), None, "fault.clock", || {
-                format!("skewed +{}ms", d.as_millis())
-            });
+        self.record(None, MinixEvent::FaultClock { skew: d });
     }
 
     // ----- introspection --------------------------------------------------------
@@ -336,14 +332,19 @@ impl MinixKernel {
         &self.metrics
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    /// The event recorder: exact per-kind counts and the last events.
+    pub fn events(&self) -> &Recorder<MinixEvent> {
+        &self.events
     }
 
-    /// Disables tracing (throughput benchmarks).
+    /// Exact number of `kind` events since boot.
+    pub fn event_count(&self, kind: EventKind) -> u64 {
+        self.events.count(kind)
+    }
+
+    /// Disables event recording (throughput benchmarks).
     pub fn disable_trace(&mut self) {
-        self.trace.disable();
+        self.events.disable();
     }
 
     /// The compiled-in ACM.
@@ -391,7 +392,6 @@ impl MinixKernel {
             sub_ac,
             dst_ac,
             types,
-            &op.subject,
             &op.object,
         )
     }
@@ -441,7 +441,6 @@ impl MinixKernel {
         sub_ac: AcId,
         dst_ac: AcId,
         types: MsgTypeSet,
-        sub_name: &str,
         dst_name: &str,
     ) -> bool {
         // Copy-on-write: churn is the only ACM mutation, so forked kernels
@@ -473,13 +472,14 @@ impl MinixKernel {
                 dst_name.to_string(),
             )
         });
-        self.trace
-            .record_with(self.clock.now(), None, "cap.churn", || {
-                format!(
-                    "{actor}: {} {sub_name}({sub_ac}) -> {dst_name}({dst_ac})",
-                    kind.label()
-                )
-            });
+        self.record(
+            None,
+            MinixEvent::CapChurn {
+                kind,
+                sub_ac,
+                dst_ac,
+            },
+        );
         changed
     }
 
@@ -602,7 +602,8 @@ impl MinixKernel {
     }
 
     fn fire_due_timers(&mut self) {
-        for pid in self.timers.pop_due(self.clock.now()) {
+        let now = self.clock.now();
+        while let Some(pid) = self.timers.pop_due(now) {
             if let Some(entry) = self.entry_mut(pid) {
                 if matches!(entry.state, ProcState::Sleeping) {
                     entry.state = ProcState::Runnable;
@@ -649,10 +650,7 @@ impl MinixKernel {
                 self.run_queue.enqueue(pid);
             }
             Action::Exit(code) => {
-                self.trace
-                    .record_with(self.clock.now(), Some(pid), "proc.exit", || {
-                        format!("code={code}")
-                    });
+                self.record(Some(pid), MinixEvent::ProcExit { code });
                 self.terminate(pid);
             }
         }
@@ -825,10 +823,14 @@ impl MinixKernel {
             Err(err) => {
                 if matches!(err, GrantError::NotGrantee | GrantError::PermissionDenied) {
                     self.metrics.access_denied += 1;
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "grant.deny", || {
-                            format!("{caller_ep} on grant {grant:?} of {granter}: {err}")
-                        });
+                    self.record(
+                        Some(caller),
+                        MinixEvent::GrantDeny {
+                            granter,
+                            grant,
+                            err,
+                        },
+                    );
                 }
                 self.ready_with(caller, Reply::Err(grant_errno(err)));
             }
@@ -841,10 +843,7 @@ impl MinixKernel {
         };
         if self.device_owners.get(&dev) != Some(&ac) {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(pid), "dev.deny", || {
-                    format!("{dev} not owned by {ac}")
-                });
+            self.record(Some(pid), MinixEvent::DevDeny { dev, ac });
             self.ready_with(pid, Reply::Err(MinixError::DeviceAccessDenied));
             return;
         }
@@ -855,10 +854,7 @@ impl MinixKernel {
             }
             match self.devices.write(dev, value) {
                 Ok(()) => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(pid), "dev.write", || {
-                            format!("{dev} <- {value}")
-                        });
+                    self.record(Some(pid), MinixEvent::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
                 }
                 Err(_) => self.ready_with(pid, Reply::Err(MinixError::InvalidArgument)),
@@ -933,12 +929,17 @@ impl MinixKernel {
                 self.fire_armed_churn(&sub_name, &dst_name);
             }
         }
-        if !decision.is_allowed() {
+        if let Some(reason) = decision.deny_reason() {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "acm.deny", || {
-                    format!("{caller_ac} -> {dest_ac} m{mtype}: {decision}")
-                });
+            self.record(
+                Some(caller),
+                MinixEvent::AcmDeny {
+                    src_ac: caller_ac,
+                    dst_ac: dest_ac,
+                    mtype,
+                    reason,
+                },
+            );
             self.ready_with(caller, Reply::Err(MinixError::CallDenied));
             return;
         }
@@ -946,10 +947,13 @@ impl MinixKernel {
         // 3. Optional send quota (flooding bound).
         if self.quotas.charge(caller_ac, SyscallClass::Send).is_err() {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "quota.deny", || {
-                    format!("{caller_ac} send quota exhausted")
-                });
+            self.record(
+                Some(caller),
+                MinixEvent::QuotaDeny {
+                    ac: caller_ac,
+                    class: SyscallClass::Send,
+                },
+            );
             self.ready_with(caller, Reply::Err(MinixError::QuotaExceeded));
             return;
         }
@@ -993,10 +997,7 @@ impl MinixKernel {
         if let Some(fault) = self.ipc_faults.pop() {
             match fault {
                 IpcFault::Drop => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("drop {caller_ep} -> {dest} m{mtype}")
-                        });
+                    self.record(Some(caller), MinixEvent::IpcDropped { dst: dest, mtype });
                     self.arena.free(msg);
                     // A plain send looks delivered; a sendrec fails so
                     // the caller cannot hang on a reply that will
@@ -1012,16 +1013,16 @@ impl MinixKernel {
                     // The message sits in transit: the kernel pays the
                     // latency, then delivery proceeds normally.
                     self.clock.advance(d);
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("delay {caller_ep} -> {dest} m{mtype} +{}ms", d.as_millis())
-                        });
+                    self.record(
+                        Some(caller),
+                        MinixEvent::IpcDelayed {
+                            dst: dest,
+                            delay: d,
+                        },
+                    );
                 }
                 IpcFault::Duplicate => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("duplicate {caller_ep} -> {dest} m{mtype}")
-                        });
+                    self.record(Some(caller), MinixEvent::IpcDuplicated { dst: dest, mtype });
                     // Refcount the slot instead of copying the payload.
                     let dup = self.arena.dup(msg);
                     self.dup_stash.push_back((caller_ep, dest, mtype, dup));
@@ -1148,16 +1149,21 @@ impl MinixKernel {
             return;
         };
         let dest_ac = self.entry_ref(dest_pid).expect("live").pcb.ac_id;
-        if !self
+        if let Some(reason) = self
             .acm
             .check(caller_ac, dest_ac, MsgType::new(pm::NOTIFY_MTYPE))
-            .is_allowed()
+            .deny_reason()
         {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "acm.deny", || {
-                    format!("{caller_ac} -> {dest_ac} notify")
-                });
+            self.record(
+                Some(caller),
+                MinixEvent::AcmDeny {
+                    src_ac: caller_ac,
+                    dst_ac: dest_ac,
+                    mtype: pm::NOTIFY_MTYPE,
+                    reason,
+                },
+            );
             self.ready_with(caller, Reply::Err(MinixError::CallDenied));
             return;
         }
@@ -1186,10 +1192,7 @@ impl MinixKernel {
         self.metrics.ipc_messages += 1;
         self.metrics.ipc_bytes += Message::WIRE_SIZE as u64;
         self.clock.charge_ipc_copy(Message::WIRE_SIZE);
-        self.trace
-            .record_with(self.clock.now(), Some(dest), "ipc.deliver", || {
-                format!("{source} -> {dest} m{mtype}")
-            });
+        self.record(Some(dest), MinixEvent::IpcDeliver { src: source, mtype });
         // Capability-stream instrumentation: the delivery *uses* the right
         // that `do_send` admitted, without re-checking it — exactly MINIX's
         // behavior. The recorded `ok` is an observer-only recheck against
@@ -1231,6 +1234,10 @@ impl MinixKernel {
         self.ready_with(dest, Reply::Msg(Message::new(source, mtype, payload)));
     }
 
+    fn record(&mut self, pid: Option<Pid>, detail: MinixEvent) {
+        self.events.record(self.clock.now(), pid, detail);
+    }
+
     fn ready_with(&mut self, pid: Pid, reply: Reply) {
         if let Some(entry) = self.entry_mut(pid) {
             entry.pending_reply = Some(reply);
@@ -1251,10 +1258,13 @@ impl MinixKernel {
         match mtype {
             pm::PM_FORK2 | pm::PM_SRV_FORK2 => {
                 if self.quotas.charge(caller_ac, SyscallClass::Fork).is_err() {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "quota.deny", || {
-                            format!("{caller_ac} fork quota exhausted")
-                        });
+                    self.record(
+                        Some(caller),
+                        MinixEvent::QuotaDeny {
+                            ac: caller_ac,
+                            class: SyscallClass::Fork,
+                        },
+                    );
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::QuotaExceeded)));
                 }
                 let (program_id, child_ac, child_uid) = pm::decode_fork2(&payload);
@@ -1294,10 +1304,7 @@ impl MinixKernel {
                 if caller_uid != 0 && caller_uid != target_uid {
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
-                self.trace
-                    .record_with(self.clock.now(), Some(caller), "pm.kill", || {
-                        format!("{caller_ep} killed {target}")
-                    });
+                self.record(Some(caller), MinixEvent::PmKill { target });
                 self.terminate(target_pid);
                 if target_pid == caller {
                     return None;
@@ -1305,12 +1312,7 @@ impl MinixKernel {
                 Some((pm::PM_OK, Payload::zeroed()))
             }
             pm::PM_EXIT => {
-                self.trace.record(
-                    self.clock.now(),
-                    Some(caller),
-                    "proc.exit",
-                    "pm exit".into(),
-                );
+                self.record(Some(caller), MinixEvent::PmExit);
                 self.terminate(caller);
                 None
             }
@@ -1347,15 +1349,11 @@ impl MinixKernel {
                         return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                     }
                 }
-                let sub_name = self
-                    .name_of_ac(sub_ac)
-                    .unwrap_or_else(|| format!("{sub_ac}"));
                 let dst_name = self
                     .name_of_ac(dst_ac)
                     .unwrap_or_else(|| format!("{dst_ac}"));
-                let changed = self.churn_acm(
-                    kind, actor, caller_ac, sub_ac, dst_ac, types, &sub_name, &dst_name,
-                );
+                let changed =
+                    self.churn_acm(kind, actor, caller_ac, sub_ac, dst_ac, types, &dst_name);
                 let mut p = Payload::zeroed();
                 p.write_u32(0, u32::from(changed));
                 Some((pm::PM_OK, p))

@@ -49,6 +49,7 @@
 
 pub mod endpoint;
 pub mod error;
+pub mod event;
 pub mod grant;
 pub mod kernel;
 pub mod message;
@@ -59,6 +60,7 @@ pub mod syscall;
 
 pub use endpoint::Endpoint;
 pub use error::MinixError;
+pub use event::MinixEvent;
 pub use grant::{BufId, GrantId, GrantPerms, MemoryTable};
 pub use kernel::{MinixConfig, MinixKernel};
 pub use message::{Message, Payload};

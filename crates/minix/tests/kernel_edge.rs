@@ -6,6 +6,7 @@ use bas_minix::error::MinixError;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::trace::EventKind;
 
 const A: AcId = AcId::new(10);
 const B: AcId = AcId::new(11);
@@ -227,7 +228,7 @@ fn trace_records_every_security_relevant_category() {
     )
     .unwrap();
     k.run_to_quiescence();
-    assert!(k.trace().events_in("proc.spawn").count() >= 2);
-    assert_eq!(k.trace().events_in("acm.deny").count(), 1);
-    assert!(k.trace().events_with_prefix("proc.").count() >= 2);
+    assert!(k.event_count(EventKind::ProcSpawn) >= 2);
+    assert_eq!(k.event_count(EventKind::AcmDeny), 1);
+    assert!(k.event_count(EventKind::ProcSpawn) + k.event_count(EventKind::ProcExit) >= 2);
 }

@@ -9,6 +9,7 @@ use bas_minix::grant::{BufId, GrantId, GrantPerms};
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::trace::EventKind;
 
 const GRANTER: AcId = AcId::new(10);
 const GRANTEE: AcId = AcId::new(11);
@@ -157,7 +158,7 @@ fn third_process_cannot_use_someone_elses_grant() {
         "grants bind to kernel identity, not uid"
     );
     assert_eq!(k.metrics().access_denied, 2);
-    assert_eq!(k.trace().events_in("grant.deny").count(), 2);
+    assert_eq!(k.event_count(EventKind::GrantDeny), 2);
 }
 
 #[test]

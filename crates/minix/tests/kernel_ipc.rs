@@ -10,6 +10,7 @@ use bas_minix::pm::NOTIFY_MTYPE;
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::clock::CostModel;
+use bas_sim::trace::EventKind;
 
 const TX: AcId = AcId::new(10);
 const RX: AcId = AcId::new(11);
@@ -127,7 +128,7 @@ fn acm_denies_unlisted_channel_and_receiver_unaffected() {
     );
     assert_eq!(k.metrics().access_denied, 1);
     assert_eq!(k.metrics().ipc_messages, 0);
-    assert_eq!(k.trace().events_in("acm.deny").count(), 1);
+    assert_eq!(k.event_count(EventKind::AcmDeny), 1);
 }
 
 #[test]

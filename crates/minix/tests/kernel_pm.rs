@@ -11,6 +11,7 @@ use bas_minix::pm::{
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::device::DeviceId;
+use bas_sim::trace::EventKind;
 
 const LOADER: AcId = AcId::new(2);
 const CHILD: AcId = AcId::new(100);
@@ -165,7 +166,7 @@ fn root_with_acm_permission_can_kill() {
     let msg = *collected_replies(&log)[0].message().unwrap();
     assert_eq!(msg.mtype, PM_OK);
     assert!(!k.is_alive(victim));
-    assert_eq!(k.trace().events_in("pm.kill").count(), 1);
+    assert_eq!(k.event_count(EventKind::PmKill), 1);
 }
 
 #[test]
@@ -315,7 +316,7 @@ fn fork_quota_contains_fork_bomb() {
         .count();
     assert_eq!(ok, 2, "only the quota'd forks succeed");
     assert_eq!(quota_errors, 8);
-    assert_eq!(k.trace().events_in("quota.deny").count(), 8);
+    assert_eq!(k.event_count(EventKind::QuotaDeny), 8);
 }
 
 #[test]
@@ -363,7 +364,7 @@ fn device_access_gated_by_ownership() {
         1,
         "driver's write landed; attacker's was dropped"
     );
-    assert_eq!(k.trace().events_in("dev.deny").count(), 1);
+    assert_eq!(k.event_count(EventKind::DevDeny), 1);
 }
 
 #[test]

@@ -10,8 +10,15 @@
 //! `heap_events` counter (surfaced as `KernelMetrics::hot_path_allocs`)
 //! is cross-checked against the same window.
 //!
-//! This lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! The kernel runs as every deployment runs it: with its event recorder
+//! on, warmed past the flight recorder's ring length so the ring wraps
+//! inside the counted window. A sleeping process wakes periodically so
+//! timer firing is inside the window too.
+//!
+//! This lives in its own integration-test binary, as its only test,
+//! because a `#[global_allocator]` is process-wide: a second test would
+//! run on another thread and the harness's allocations for it would be
+//! counted here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,9 +28,11 @@ use bas_minix::endpoint::Endpoint;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::message::Payload;
 use bas_minix::syscall::{Reply, Syscall};
+use bas_minix::MinixEvent;
 use bas_sim::clock::CostModel;
 use bas_sim::process::{Action, Process};
-use bas_sim::time::SimTime;
+use bas_sim::time::{SimDuration, SimTime};
+use bas_sim::trace::{EventKind, KernelEvent, RING_LEN};
 
 struct CountingAlloc;
 
@@ -88,6 +97,23 @@ impl Process for Pump {
 /// Receives forever.
 struct Sink;
 
+/// Sleeps 1 ms at a time, forever: every wake-up goes through the
+/// kernel's timer queue.
+struct Sleeper;
+
+impl Process for Sleeper {
+    type Syscall = Syscall;
+    type Reply = Reply;
+    fn resume(&mut self, _reply: Option<Reply>) -> Action<Syscall> {
+        Action::Syscall(Syscall::Sleep {
+            duration: SimDuration::from_millis(1),
+        })
+    }
+    fn name(&self) -> &str {
+        "sleeper"
+    }
+}
+
 impl Process for Sink {
     type Syscall = Syscall;
     type Reply = Reply;
@@ -101,6 +127,8 @@ impl Process for Sink {
 
 #[test]
 fn steady_state_ipc_does_not_allocate() {
+    // The recorder's ring holds 256 of these per kernel.
+    assert!(std::mem::size_of::<KernelEvent<MinixEvent>>() <= 32);
     let acm = AccessControlMatrix::builder()
         .allow_all_types(TX, RX)
         .build();
@@ -111,22 +139,27 @@ fn steady_state_ipc_does_not_allocate() {
         cost_model: CostModel::default(),
         ..MinixConfig::default()
     });
-    k.disable_trace();
     let sink = k.spawn("sink", RX, 1000, Box::new(Sink)).expect("sink");
     k.spawn("pump", TX, 1000, Box::new(Pump { dest: sink }))
         .expect("pump");
+    k.spawn("sleeper", TX, 1000, Box::new(Sleeper))
+        .expect("sleeper");
 
     // Warmup: boot-time growth (run queue words, process slots, the
-    // pre-warmed arena) all happens here, uncounted.
-    k.run_until(SimTime::ZERO + bas_sim::time::SimDuration::from_millis(50));
+    // pre-warmed arena, the recorder's ring, the timer heap) all happens
+    // here, uncounted.
+    k.run_until(SimTime::ZERO + SimDuration::from_millis(50));
     let warm_messages = k.metrics().ipc_messages;
     let warm_heap_events = k.metrics().hot_path_allocs;
+    let warm_deliveries = k.event_count(EventKind::IpcDeliver);
     assert!(warm_messages > 0, "warmup must deliver messages");
+    assert_eq!(k.events().recent().count(), RING_LEN, "ring is full");
 
-    // Counted window: pure steady-state send/deliver traffic.
+    // Counted window: steady-state send/deliver traffic plus timer
+    // wake-ups, all recorded.
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    k.run_until(SimTime::ZERO + bas_sim::time::SimDuration::from_millis(500));
+    k.run_until(SimTime::ZERO + SimDuration::from_millis(500));
     COUNTING.store(false, Ordering::SeqCst);
 
     let delivered = k.metrics().ipc_messages - warm_messages;
@@ -144,5 +177,10 @@ fn steady_state_ipc_does_not_allocate() {
         allocs, 0,
         "steady-state IPC hit the global allocator {allocs} time(s) \
          across {delivered} messages"
+    );
+    assert_eq!(
+        k.event_count(EventKind::IpcDeliver) - warm_deliveries,
+        delivered,
+        "every delivery in the window was recorded"
     );
 }

@@ -18,11 +18,12 @@ use bas_sim::process::{Action, Pid, ProcState};
 use bas_sim::sched::RunQueue;
 use bas_sim::time::{SimDuration, SimTime};
 use bas_sim::timer::TimerQueue;
-use bas_sim::trace::TraceLog;
+use bas_sim::trace::{EventKind, Recorder};
 
 use crate::cap::{CPtr, CapTarget, Capability};
 use crate::cspace::CSpace;
 use crate::error::Sel4Error;
+use crate::event::{Invocation, Sel4Event};
 use crate::message::{DeliveredMessage, IpcMessage};
 use crate::objects::{KernelObject, ObjId};
 use crate::rights::CapRights;
@@ -73,8 +74,6 @@ pub struct Sel4Config {
     pub cspace_slots: usize,
     /// Virtual-time cost model.
     pub cost_model: CostModel,
-    /// Trace capacity in events.
-    pub trace_capacity: usize,
 }
 
 impl Default for Sel4Config {
@@ -83,7 +82,6 @@ impl Default for Sel4Config {
             max_threads: 32,
             cspace_slots: 64,
             cost_model: CostModel::default(),
-            trace_capacity: TraceLog::DEFAULT_CAPACITY,
         }
     }
 }
@@ -97,7 +95,7 @@ pub struct Sel4Kernel {
     timers: TimerQueue,
     clock: VirtualClock,
     metrics: KernelMetrics,
-    trace: TraceLog,
+    events: Recorder<Sel4Event>,
     devices: DeviceBus,
     last_run: Option<Pid>,
     ipc_faults: IpcFaultState,
@@ -159,7 +157,7 @@ impl Sel4Kernel {
             timers: TimerQueue::new(),
             clock: VirtualClock::new(config.cost_model),
             metrics: KernelMetrics::default(),
-            trace: TraceLog::with_capacity(config.trace_capacity),
+            events: Recorder::new(),
             devices: DeviceBus::new(),
             last_run: None,
             ipc_faults: IpcFaultState::default(),
@@ -187,7 +185,7 @@ impl Sel4Kernel {
         self.timers.clear();
         self.clock.reset();
         self.metrics = KernelMetrics::default();
-        self.trace.clear();
+        self.events.clear();
         self.last_run = None;
         self.ipc_faults = IpcFaultState::default();
         self.arena.reset_to_capacity(self.config.max_threads);
@@ -304,8 +302,7 @@ impl Sel4Kernel {
             }
         }
         self.run_queue.enqueue(pid);
-        self.trace
-            .record(self.clock.now(), Some(pid), "thread.start", String::new());
+        self.record(Some(pid), Sel4Event::ThreadStart);
     }
 
     /// Mutable access to the device bus, for installing plant devices.
@@ -335,10 +332,7 @@ impl Sel4Kernel {
         let Some(pid) = self.thread_named(name) else {
             return false;
         };
-        self.trace
-            .record_with(self.clock.now(), Some(pid), "fault.crash", || {
-                format!("killed {name}")
-            });
+        self.record(Some(pid), Sel4Event::FaultCrash);
         self.terminate(pid);
         true
     }
@@ -347,10 +341,7 @@ impl Sel4Kernel {
     /// tick-skew fault.
     pub fn skew_clock(&mut self, d: SimDuration) {
         self.clock.advance(d);
-        self.trace
-            .record_with(self.clock.now(), None, "fault.clock", || {
-                format!("skewed +{}ms", d.as_millis())
-            });
+        self.record(None, Sel4Event::FaultClock { skew: d });
     }
 
     // ----- introspection ------------------------------------------------------
@@ -365,14 +356,19 @@ impl Sel4Kernel {
         &self.metrics
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    /// The event recorder: exact per-kind counts and the last events.
+    pub fn events(&self) -> &Recorder<Sel4Event> {
+        &self.events
     }
 
-    /// Disables tracing (throughput benchmarks).
+    /// Exact number of `kind` events since boot.
+    pub fn event_count(&self, kind: EventKind) -> u64 {
+        self.events.count(kind)
+    }
+
+    /// Disables event recording (throughput benchmarks).
     pub fn disable_trace(&mut self) {
-        self.trace.disable();
+        self.events.disable();
     }
 
     /// Enables capability-operation recording (idempotent).
@@ -431,14 +427,14 @@ impl Sel4Kernel {
                     format!("{obj}"),
                 )
             });
-            self.trace
-                .record_with(self.clock.now(), None, "cap.churn", || {
-                    format!(
-                        "{}: {} {holder_name} caps on {obj}",
-                        sweep.actor,
-                        sweep.kind.label()
-                    )
-                });
+            self.record(
+                None,
+                Sel4Event::CapChurn {
+                    kind: sweep.kind,
+                    holder: sweep.holder,
+                    obj,
+                },
+            );
             any |= changed;
         }
         any
@@ -627,7 +623,8 @@ impl Sel4Kernel {
     }
 
     fn fire_due_timers(&mut self) {
-        for pid in self.timers.pop_due(self.clock.now()) {
+        let now = self.clock.now();
+        while let Some(pid) = self.timers.pop_due(now) {
             if let Some(entry) = self.entry_mut(pid) {
                 if matches!(entry.state, ProcState::Sleeping) {
                     entry.state = ProcState::Runnable;
@@ -669,10 +666,7 @@ impl Sel4Kernel {
             }
             Action::Yield => self.run_queue.enqueue(pid),
             Action::Exit(code) => {
-                self.trace
-                    .record_with(self.clock.now(), Some(pid), "thread.exit", || {
-                        format!("code={code}")
-                    });
+                self.record(Some(pid), Sel4Event::ThreadExit { code });
                 self.terminate(pid);
             }
         }
@@ -746,20 +740,16 @@ impl Sel4Kernel {
             .lookup(untyped_ptr)
         {
             Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "retype"),
+            Err(e) => return self.deny(caller, Invocation::Retype, e),
         };
         let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "retype via reply cap");
+            return self.deny(caller, Invocation::Retype, Sel4Error::WrongObjectType);
         };
         if !matches!(self.object(obj), Some(KernelObject::Untyped { .. })) {
-            return self.deny(caller, Sel4Error::WrongObjectType, "retype of non-untyped");
+            return self.deny(caller, Invocation::Retype, Sel4Error::WrongObjectType);
         }
         if !cap.rights.write {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "retype without write",
-            );
+            return self.deny(caller, Invocation::Retype, Sel4Error::InsufficientRights);
         }
         // Charge the region; creation is bounded by explicit authority.
         let size = kind.size_bytes();
@@ -788,10 +778,10 @@ impl Sel4Kernel {
             Ok(slot) => Reply::Slot(slot),
             Err(e) => Reply::Err(e),
         };
-        self.trace
-            .record_with(self.clock.now(), Some(caller), "untyped.retype", || {
-                format!("{kind:?} from {obj}")
-            });
+        self.record(
+            Some(caller),
+            Sel4Event::UntypedRetype { kind, untyped: obj },
+        );
         self.ready_with(caller, r);
     }
 
@@ -810,13 +800,16 @@ impl Sel4Kernel {
         }
     }
 
-    fn deny(&mut self, pid: Pid, err: Sel4Error, what: &str) {
+    /// Refuses `op`: counts one `access_denied`, records the reason and
+    /// fails the invocation with `err`.
+    fn deny(&mut self, pid: Pid, op: Invocation, err: Sel4Error) {
         self.metrics.access_denied += 1;
-        self.trace
-            .record_with(self.clock.now(), Some(pid), "cap.deny", || {
-                format!("{what}: {err}")
-            });
+        self.record(Some(pid), Sel4Event::CapDeny { op, err });
         self.ready_with(pid, Reply::Err(err));
+    }
+
+    fn record(&mut self, pid: Option<Pid>, detail: Sel4Event) {
+        self.events.record(self.clock.now(), pid, detail);
     }
 
     fn do_send(
@@ -827,9 +820,14 @@ impl Sel4Kernel {
         blocking: bool,
         is_call: bool,
     ) {
+        let send_op = if is_call {
+            Invocation::Call
+        } else {
+            Invocation::Send
+        };
         let (ep, cap) = match self.lookup_ep_cap(caller, ep_ptr) {
             Ok(v) => v,
-            Err(e) => return self.deny(caller, e, "send"),
+            Err(e) => return self.deny(caller, send_op, e),
         };
         // Capability-stream instrumentation: one admission-check event per
         // send attempt that *found* a capability (a revoked capability
@@ -857,19 +855,15 @@ impl Sel4Kernel {
             }
         }
         if !cap.rights.write {
-            return self.deny(caller, Sel4Error::InsufficientRights, "send without write");
+            return self.deny(caller, send_op, Sel4Error::InsufficientRights);
         }
         if is_call && !cap.rights.grant {
             // Paper: "If a thread is given grant access to an endpoint it
             // can use seL4_Call."
-            return self.deny(caller, Sel4Error::InsufficientRights, "call without grant");
+            return self.deny(caller, Invocation::Call, Sel4Error::InsufficientRights);
         }
         if !msg.caps.is_empty() && !cap.rights.grant {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "cap transfer without grant",
-            );
+            return self.deny(caller, send_op, Sel4Error::InsufficientRights);
         }
 
         // Resolve capabilities to transfer from the sender's CSpace,
@@ -884,7 +878,7 @@ impl Sel4Kernel {
                 .lookup(*src)
             {
                 Ok(c) => caps.push((c, *src)),
-                Err(e) => return self.deny(caller, e, "transfer source missing"),
+                Err(e) => return self.deny(caller, send_op, e),
             }
         }
 
@@ -895,10 +889,13 @@ impl Sel4Kernel {
         if let Some(fault) = self.ipc_faults.pop() {
             match fault {
                 IpcFault::Drop => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("drop {caller} ep={ep:?} label={}", msg.label)
-                        });
+                    self.record(
+                        Some(caller),
+                        Sel4Event::IpcDropped {
+                            ep,
+                            label: msg.label,
+                        },
+                    );
                     // A Call aborts (the reply can never come); a one-way
                     // send looks delivered.
                     if is_call {
@@ -912,19 +909,13 @@ impl Sel4Kernel {
                     // The transfer stalls in the kernel: pay the latency,
                     // then rendezvous normally.
                     self.clock.advance(d);
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("delay {caller} ep={ep:?} +{}ms", d.as_millis())
-                        });
+                    self.record(Some(caller), Sel4Event::IpcDelayed { ep, delay: d });
                 }
                 IpcFault::Duplicate => {
                     // Rendezvous IPC has no queue to double-enqueue into
                     // and the one-shot reply capability absorbs a replayed
                     // Call, so the duplicate is absorbed (and recorded).
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("duplicate absorbed {caller} ep={ep:?}")
-                        });
+                    self.record(Some(caller), Sel4Event::IpcDuplicated { ep });
                 }
             }
         }
@@ -954,10 +945,10 @@ impl Sel4Kernel {
     fn do_recv(&mut self, caller: Pid, ep_ptr: CPtr, blocking: bool) {
         let (ep, cap) = match self.lookup_ep_cap(caller, ep_ptr) {
             Ok(v) => v,
-            Err(e) => return self.deny(caller, e, "recv"),
+            Err(e) => return self.deny(caller, Invocation::Recv, e),
         };
         if !cap.rights.read {
-            return self.deny(caller, Sel4Error::InsufficientRights, "recv without read");
+            return self.deny(caller, Invocation::Recv, Sel4Error::InsufficientRights);
         }
 
         // Lowest-pid sender blocked on this endpoint.
@@ -1045,12 +1036,7 @@ impl Sel4Kernel {
                     );
                     received_caps.push(slot);
                 }
-                Err(_) => self.trace.record(
-                    self.clock.now(),
-                    Some(receiver),
-                    "cap.dropped",
-                    "transfer overflowed receiver cspace".into(),
-                ),
+                Err(_) => self.record(Some(receiver), Sel4Event::CapDropped),
             }
         }
 
@@ -1058,10 +1044,7 @@ impl Sel4Kernel {
         self.metrics.ipc_messages += 1;
         self.metrics.ipc_bytes += bytes as u64;
         self.clock.charge_ipc_copy(bytes);
-        self.trace
-            .record_with(self.clock.now(), Some(receiver), "ipc.deliver", || {
-                format!("{sender} -> {receiver} label={label} badge={badge}")
-            });
+        self.record(Some(receiver), Sel4Event::IpcDeliver { sender, label });
 
         // Capability-stream instrumentation: the delivery *uses* the
         // admission decision made at send time without re-checking — real
@@ -1129,10 +1112,10 @@ impl Sel4Kernel {
     fn do_reply(&mut self, caller: Pid, msg: IpcMessage) {
         let reply_cap = match self.entry_mut(caller).and_then(|e| e.reply_slot.take()) {
             Some(c) => c,
-            None => return self.deny(caller, Sel4Error::NoReplyCap, "reply"),
+            None => return self.deny(caller, Invocation::Reply, Sel4Error::NoReplyCap),
         };
         let CapTarget::Reply(target) = reply_cap.target else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "reply slot corrupt");
+            return self.deny(caller, Invocation::Reply, Sel4Error::WrongObjectType);
         };
 
         // Resolve transferred caps (a reply cap carries grant).
@@ -1145,7 +1128,7 @@ impl Sel4Kernel {
                 .lookup(*src)
             {
                 Ok(c) => caps.push(c),
-                Err(e) => return self.deny(caller, e, "reply transfer source missing"),
+                Err(e) => return self.deny(caller, Invocation::Reply, e),
             }
         }
 
@@ -1156,10 +1139,7 @@ impl Sel4Kernel {
         if !target_waiting {
             // Reply caps are one-shot: if the caller died or was restarted
             // the reply is silently dropped (seL4 semantics).
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "ipc.reply_dropped", || {
-                    format!("target {target} not awaiting reply")
-                });
+            self.record(Some(caller), Sel4Event::IpcReplyDropped { target });
             self.ready_with(caller, Reply::Ok);
             return;
         }
@@ -1202,24 +1182,16 @@ impl Sel4Kernel {
             .lookup(ntfn_ptr)
         {
             Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "signal"),
+            Err(e) => return self.deny(caller, Invocation::Signal, e),
         };
         let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "signal on reply cap");
+            return self.deny(caller, Invocation::Signal, Sel4Error::WrongObjectType);
         };
         if !matches!(self.object(obj), Some(KernelObject::Notification { .. })) {
-            return self.deny(
-                caller,
-                Sel4Error::WrongObjectType,
-                "signal on non-notification",
-            );
+            return self.deny(caller, Invocation::Signal, Sel4Error::WrongObjectType);
         }
         if !cap.rights.write {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "signal without write",
-            );
+            return self.deny(caller, Invocation::Signal, Sel4Error::InsufficientRights);
         }
 
         let waiter = self.threads.iter().enumerate().find_map(|(i, t)| {
@@ -1265,13 +1237,13 @@ impl Sel4Kernel {
             .lookup(ntfn_ptr)
         {
             Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "wait"),
+            Err(e) => return self.deny(caller, Invocation::Wait, e),
         };
         let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "wait on reply cap");
+            return self.deny(caller, Invocation::Wait, Sel4Error::WrongObjectType);
         };
         if !cap.rights.read {
-            return self.deny(caller, Sel4Error::InsufficientRights, "wait without read");
+            return self.deny(caller, Invocation::Wait, Sel4Error::InsufficientRights);
         }
         match self.objects.get_mut(obj.as_usize()) {
             Some(KernelObject::Notification { word }) => {
@@ -1291,11 +1263,7 @@ impl Sel4Kernel {
                     entry.state = ProcState::Blocked(Block::WaitingNtfn { ntfn: obj });
                 }
             }
-            _ => self.deny(
-                caller,
-                Sel4Error::WrongObjectType,
-                "wait on non-notification",
-            ),
+            _ => self.deny(caller, Invocation::Wait, Sel4Error::WrongObjectType),
         }
     }
 
@@ -1303,10 +1271,10 @@ impl Sel4Kernel {
         let entry = self.entry_mut(caller).expect("caller alive");
         let cap = match entry.cspace.lookup(src) {
             Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "mint source"),
+            Err(e) => return self.deny(caller, Invocation::Mint, e),
         };
         let Some(derived) = cap.mint(rights, badge) else {
-            return self.deny(caller, Sel4Error::RightsViolation, "mint amplification");
+            return self.deny(caller, Invocation::Mint, Sel4Error::RightsViolation);
         };
         let r = match self
             .entry_mut(caller)
@@ -1336,26 +1304,23 @@ impl Sel4Kernel {
             .lookup(tcb_ptr)
         {
             Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "tcb suspend"),
+            Err(e) => return self.deny(caller, Invocation::TcbSuspend, e),
         };
         let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "suspend via reply cap");
+            return self.deny(caller, Invocation::TcbSuspend, Sel4Error::WrongObjectType);
         };
         let target = match self.object(obj) {
             Some(KernelObject::Tcb { pid }) => *pid,
-            _ => return self.deny(caller, Sel4Error::WrongObjectType, "suspend non-tcb"),
+            _ => return self.deny(caller, Invocation::TcbSuspend, Sel4Error::WrongObjectType),
         };
         if !cap.rights.write {
             return self.deny(
                 caller,
+                Invocation::TcbSuspend,
                 Sel4Error::InsufficientRights,
-                "suspend without write",
             );
         }
-        self.trace
-            .record_with(self.clock.now(), Some(caller), "tcb.suspend", || {
-                format!("{caller} suspended {target}")
-            });
+        self.record(Some(caller), Sel4Event::TcbSuspend { target });
         self.terminate(target);
         if target != caller {
             self.ready_with(caller, Reply::Ok);
@@ -1363,6 +1328,11 @@ impl Sel4Kernel {
     }
 
     fn do_device(&mut self, caller: Pid, dev_ptr: CPtr, write: Option<i64>) {
+        let dev_op = if write.is_some() {
+            Invocation::DevWrite
+        } else {
+            Invocation::DevRead
+        };
         let cap = match self
             .entry_ref(caller)
             .expect("caller alive")
@@ -1370,26 +1340,23 @@ impl Sel4Kernel {
             .lookup(dev_ptr)
         {
             Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "device"),
+            Err(e) => return self.deny(caller, dev_op, e),
         };
         let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "device via reply cap");
+            return self.deny(caller, dev_op, Sel4Error::WrongObjectType);
         };
         let dev = match self.object(obj) {
             Some(KernelObject::Device { dev }) => *dev,
-            _ => return self.deny(caller, Sel4Error::WrongObjectType, "not a device frame"),
+            _ => return self.deny(caller, dev_op, Sel4Error::WrongObjectType),
         };
         match write {
             Some(value) => {
                 if !cap.rights.write {
-                    return self.deny(caller, Sel4Error::InsufficientRights, "device write");
+                    return self.deny(caller, dev_op, Sel4Error::InsufficientRights);
                 }
                 match self.devices.write(dev, value) {
                     Ok(()) => {
-                        self.trace
-                            .record_with(self.clock.now(), Some(caller), "dev.write", || {
-                                format!("{dev} <- {value}")
-                            });
+                        self.record(Some(caller), Sel4Event::DevWrite { dev, value });
                         self.ready_with(caller, Reply::Ok);
                     }
                     Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),
@@ -1397,7 +1364,7 @@ impl Sel4Kernel {
             }
             None => {
                 if !cap.rights.read {
-                    return self.deny(caller, Sel4Error::InsufficientRights, "device read");
+                    return self.deny(caller, dev_op, Sel4Error::InsufficientRights);
                 }
                 match self.devices.read(dev) {
                     Ok(v) => self.ready_with(caller, Reply::DevValue(v)),

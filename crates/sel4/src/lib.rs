@@ -57,6 +57,7 @@
 pub mod cap;
 pub mod cspace;
 pub mod error;
+pub mod event;
 pub mod kernel;
 pub mod message;
 pub mod objects;
@@ -66,6 +67,7 @@ pub mod syscall;
 pub use cap::{CPtr, Capability};
 pub use cspace::CSpace;
 pub use error::Sel4Error;
+pub use event::{Invocation, Sel4Event};
 pub use kernel::{Sel4Config, Sel4Kernel};
 pub use message::IpcMessage;
 pub use objects::{KernelObject, ObjId};

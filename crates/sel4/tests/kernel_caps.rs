@@ -11,6 +11,7 @@ use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, Syscall};
 use bas_sim::process::Pid;
 use bas_sim::script::{replies, Script};
+use bas_sim::trace::EventKind;
 
 type S = Script<Syscall, Reply>;
 
@@ -348,7 +349,7 @@ fn tcb_suspend_with_cap_kills_thread() {
     k.run_to_quiescence();
     assert_eq!(replies(&log), vec![Reply::Ok]);
     assert!(!k.is_alive(victim_pid));
-    assert_eq!(k.trace().events_in("tcb.suspend").count(), 1);
+    assert_eq!(k.event_count(EventKind::TcbSuspend), 1);
 }
 
 #[test]

@@ -11,6 +11,7 @@ use bas_sel4::objects::ObjKind;
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, RetypeKind, Syscall};
 use bas_sim::script::{replies, Script};
+use bas_sim::trace::EventKind;
 
 type S = Script<Syscall, Reply>;
 
@@ -48,7 +49,7 @@ fn retype_creates_a_usable_endpoint() {
         Reply::Err(Sel4Error::NotReady),
         "fully invocable endpoint"
     );
-    assert_eq!(k.trace().events_in("untyped.retype").count(), 1);
+    assert_eq!(k.event_count(EventKind::UntypedRetype), 1);
 }
 
 #[test]

@@ -10,9 +10,10 @@
 //! edges, and hunts TOCTOU windows between an admission check and the
 //! delivery that used it.
 //!
-//! Like [`crate::trace::TraceLog`], the log is **disabled by default** and
-//! fully lazy: when disabled (the perf-benchmark configuration) recording
-//! is a single branch and no strings are built.
+//! Unlike the kernels' event [`crate::trace::Recorder`], which is always
+//! on, this log is **disabled by default** and fully lazy: when disabled
+//! (every run except race detection) recording is a single branch and no
+//! strings are built.
 
 use serde::{Deserialize, Serialize};
 
@@ -112,9 +113,9 @@ pub const DEFAULT_CAP_EVENTS: usize = 1_000_000;
 
 /// The kernel-side capability-event recorder.
 ///
-/// Mirrors [`crate::trace::TraceLog`]'s gating contract: disabled by
-/// default, `record_with` takes a closure so the (String-building) event
-/// is only materialized when the log is enabled and below capacity.
+/// Disabled by default; `record_with` takes a closure so the
+/// (String-building) event is only materialized when the log is enabled
+/// and below capacity.
 #[derive(Debug)]
 pub struct CapLog {
     events: Vec<CapEvent>,

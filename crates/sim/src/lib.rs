@@ -4,8 +4,9 @@
 //! system platforms in the BAS reproduction (`bas-minix`, `bas-sel4` and
 //! `bas-linux`): a virtual clock with a configurable cost model, a
 //! process-as-resumable-state-machine abstraction, a round-robin run queue,
-//! a timer queue, kernel metrics, a deterministic RNG, an event trace, and a
-//! device bus connecting drivers to the simulated physical world.
+//! a timer queue, kernel metrics, a deterministic RNG, a typed kernel event
+//! recorder, and a device bus connecting drivers to the simulated physical
+//! world.
 //!
 //! ## Execution model
 //!
@@ -68,4 +69,4 @@ pub use rng::SimRng;
 pub use sched::RunQueue;
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerQueue;
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{EventDetail, EventKind, KernelEvent, Recorder};

@@ -20,8 +20,8 @@ use crate::time::SimTime;
 /// tq.arm(SimTime::from_nanos(20), Pid::new(2));
 /// tq.arm(SimTime::from_nanos(10), Pid::new(1));
 /// assert_eq!(tq.next_deadline(), Some(SimTime::from_nanos(10)));
-/// assert_eq!(tq.pop_due(SimTime::from_nanos(15)), vec![Pid::new(1)]);
-/// assert_eq!(tq.pop_due(SimTime::from_nanos(15)), vec![]);
+/// assert_eq!(tq.pop_due(SimTime::from_nanos(15)), Some(Pid::new(1)));
+/// assert_eq!(tq.pop_due(SimTime::from_nanos(15)), None);
 /// ```
 #[derive(Debug, Default)]
 pub struct TimerQueue {
@@ -49,17 +49,15 @@ impl TimerQueue {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 
-    /// Pops every wakeup with `deadline <= now`, in deadline order.
-    pub fn pop_due(&mut self, now: SimTime) -> Vec<Pid> {
-        let mut due = Vec::new();
-        while let Some(Reverse((t, _, _))) = self.heap.peek() {
-            if *t > now {
-                break;
+    /// Pops the earliest wakeup with `deadline <= now`, if any. Repeated
+    /// calls yield the due wakeups in deadline order, ties in arm order.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<Pid> {
+        match self.heap.peek() {
+            Some(Reverse((t, _, _))) if *t <= now => {
+                self.heap.pop().map(|Reverse((_, _, pid))| pid)
             }
-            let Reverse((_, _, pid)) = self.heap.pop().expect("peeked entry exists");
-            due.push(pid);
+            _ => None,
         }
-        due
     }
 
     /// Cancels every wakeup armed for `pid` (used when a process dies while
@@ -96,13 +94,17 @@ impl TimerQueue {
 mod tests {
     use super::*;
 
+    fn drain(tq: &mut TimerQueue, now: SimTime) -> Vec<Pid> {
+        std::iter::from_fn(|| tq.pop_due(now)).collect()
+    }
+
     #[test]
     fn pops_in_deadline_order() {
         let mut tq = TimerQueue::new();
         tq.arm(SimTime::from_nanos(30), Pid::new(3));
         tq.arm(SimTime::from_nanos(10), Pid::new(1));
         tq.arm(SimTime::from_nanos(20), Pid::new(2));
-        let due = tq.pop_due(SimTime::from_nanos(100));
+        let due = drain(&mut tq, SimTime::from_nanos(100));
         assert_eq!(due, vec![Pid::new(1), Pid::new(2), Pid::new(3)]);
     }
 
@@ -113,7 +115,10 @@ mod tests {
         tq.arm(t, Pid::new(9));
         tq.arm(t, Pid::new(4));
         tq.arm(t, Pid::new(7));
-        assert_eq!(tq.pop_due(t), vec![Pid::new(9), Pid::new(4), Pid::new(7)]);
+        assert_eq!(
+            drain(&mut tq, t),
+            vec![Pid::new(9), Pid::new(4), Pid::new(7)]
+        );
     }
 
     #[test]
@@ -124,7 +129,7 @@ mod tests {
         tq.arm(SimTime::from_nanos(30), Pid::new(1));
         tq.cancel(Pid::new(1));
         assert_eq!(tq.len(), 1);
-        assert_eq!(tq.pop_due(SimTime::from_nanos(100)), vec![Pid::new(2)]);
+        assert_eq!(drain(&mut tq, SimTime::from_nanos(100)), vec![Pid::new(2)]);
     }
 
     #[test]
@@ -138,14 +143,14 @@ mod tests {
         let t = SimTime::from_nanos(5);
         tq.arm(t, Pid::new(9));
         tq.arm(t, Pid::new(4));
-        assert_eq!(tq.pop_due(t), vec![Pid::new(9), Pid::new(4)]);
+        assert_eq!(drain(&mut tq, t), vec![Pid::new(9), Pid::new(4)]);
     }
 
     #[test]
     fn not_due_entries_stay() {
         let mut tq = TimerQueue::new();
         tq.arm(SimTime::from_nanos(50), Pid::new(1));
-        assert!(tq.pop_due(SimTime::from_nanos(49)).is_empty());
+        assert_eq!(tq.pop_due(SimTime::from_nanos(49)), None);
         assert_eq!(tq.len(), 1);
         assert_eq!(tq.next_deadline(), Some(SimTime::from_nanos(50)));
     }
