@@ -54,7 +54,7 @@ pub enum LinuxEvent {
         /// The killed process.
         target: Pid,
     },
-    /// DAC refused `uid`'s open of queue `qid`.
+    /// DAC refused `uid`'s open or unlink of queue `qid`.
     MqDeny {
         /// The caller's user id.
         uid: Uid,
@@ -69,6 +69,15 @@ pub enum LinuxEvent {
         uid: Uid,
         /// The device.
         dev: DeviceId,
+        /// The errno returned.
+        err: LinuxError,
+    },
+    /// A non-root `uid` tried to change its user id.
+    SetUidDeny {
+        /// The caller's user id.
+        uid: Uid,
+        /// The user id it asked for.
+        requested: Uid,
         /// The errno returned.
         err: LinuxError,
     },
@@ -127,7 +136,9 @@ impl EventDetail for LinuxEvent {
             LinuxEvent::MqCreate { .. } => EventKind::MqCreate,
             LinuxEvent::DevWrite { .. } => EventKind::DevWrite,
             LinuxEvent::SignalKill { .. } => EventKind::SignalKill,
-            LinuxEvent::MqDeny { .. } | LinuxEvent::DevDeny { .. } => EventKind::DacDeny,
+            LinuxEvent::MqDeny { .. }
+            | LinuxEvent::DevDeny { .. }
+            | LinuxEvent::SetUidDeny { .. } => EventKind::DacDeny,
             LinuxEvent::SignalDeny { .. } => EventKind::SignalDeny,
             LinuxEvent::CapChurn { .. } => EventKind::CapChurn,
             LinuxEvent::FaultCrash => EventKind::FaultCrash,
@@ -150,6 +161,11 @@ impl fmt::Display for LinuxEvent {
             LinuxEvent::SignalKill { signal, target } => write!(f, "sent {signal:?} to {target}"),
             LinuxEvent::MqDeny { uid, qid, err } => write!(f, "{uid} denied q{qid}: {err}"),
             LinuxEvent::DevDeny { uid, dev, err } => write!(f, "{uid} denied {dev}: {err}"),
+            LinuxEvent::SetUidDeny {
+                uid,
+                requested,
+                err,
+            } => write!(f, "{uid} may not become {requested}: {err}"),
             LinuxEvent::SignalDeny {
                 uid,
                 target_uid,

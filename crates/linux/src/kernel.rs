@@ -25,7 +25,7 @@ use bas_sim::process::{Action, Pid, ProcState, ProgramFactory};
 use bas_sim::sched::RunQueue;
 use bas_sim::time::{SimDuration, SimTime};
 use bas_sim::timer::TimerQueue;
-use bas_sim::trace::{EventKind, Recorder};
+use bas_sim::trace::{EventDetail, EventKind, Recorder};
 
 use crate::cred::{Mode, Uid};
 use crate::error::LinuxError;
@@ -648,6 +648,14 @@ impl LinuxKernel {
                     self.entry_mut(pid).expect("caller").uid = Uid::new(uid);
                     Reply::Ok
                 } else {
+                    self.deny(
+                        pid,
+                        LinuxEvent::SetUidDeny {
+                            uid: caller_uid,
+                            requested: Uid::new(uid),
+                            err: LinuxError::NotPermitted,
+                        },
+                    );
                     Reply::Err(LinuxError::NotPermitted)
                 };
                 self.ready_with(pid, r);
@@ -739,9 +747,8 @@ impl LinuxKernel {
                     }
                 }
                 if !allowed {
-                    self.metrics.access_denied += 1;
-                    self.record(
-                        Some(pid),
+                    self.deny(
+                        pid,
                         LinuxEvent::MqDeny {
                             uid,
                             qid,
@@ -948,6 +955,14 @@ impl LinuxKernel {
                     }
                     self.ready_with(pid, Reply::Ok);
                 } else {
+                    self.deny(
+                        pid,
+                        LinuxEvent::MqDeny {
+                            uid,
+                            qid,
+                            err: LinuxError::AccessDenied,
+                        },
+                    );
                     self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
                 }
             }
@@ -961,9 +976,8 @@ impl LinuxKernel {
         };
         // The entire permission model: same uid or root.
         if !caller_uid.is_root() && caller_uid != target_uid {
-            self.metrics.access_denied += 1;
-            self.record(
-                Some(caller),
+            self.deny(
+                caller,
                 LinuxEvent::SignalDeny {
                     uid: caller_uid,
                     target_uid,
@@ -999,9 +1013,8 @@ impl LinuxKernel {
         };
         let (want_read, want_write) = (write.is_none(), write.is_some());
         if !mode.allows(uid, owner, want_read, want_write) {
-            self.metrics.access_denied += 1;
-            self.record(
-                Some(pid),
+            self.deny(
+                pid,
                 LinuxEvent::DevDeny {
                     uid,
                     dev,
@@ -1143,6 +1156,15 @@ impl LinuxKernel {
         self.metrics.ipc_bytes += 64;
         self.metrics.hot_path_allocs = self.arena.heap_events();
         self.record(Some(sender), LinuxEvent::MqSend { qid });
+    }
+
+    /// Records a refusal: one `access_denied` and one denial event,
+    /// always together, so the denial kinds' counts sum to
+    /// `access_denied`. The caller sends the error reply.
+    fn deny(&mut self, pid: Pid, detail: LinuxEvent) {
+        debug_assert!(detail.kind().is_denial(), "{detail} is not a denial");
+        self.metrics.access_denied += 1;
+        self.record(Some(pid), detail);
     }
 
     fn record(&mut self, pid: Option<Pid>, detail: LinuxEvent) {

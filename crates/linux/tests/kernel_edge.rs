@@ -8,6 +8,7 @@ use bas_linux::kernel::{LinuxConfig, LinuxKernel, MqCreate};
 use bas_linux::mq::MQ_MSG_MAX;
 use bas_linux::syscall::{MqAccess, Reply, Signal, Syscall};
 use bas_sim::script::{replies, Script};
+use bas_sim::trace::EventKind;
 
 type S = Script<Syscall, Reply>;
 
@@ -31,6 +32,9 @@ fn unlink_requires_ownership_or_root() {
     k.spawn("stranger", 2000, Box::new(stranger)).unwrap();
     k.run_to_quiescence();
     assert_eq!(replies(&s_log), vec![Reply::Err(LinuxError::AccessDenied)]);
+    // The refusal is one access_denied and one dac.deny event.
+    assert_eq!(k.metrics().access_denied, 1);
+    assert_eq!(k.event_count(EventKind::DacDeny), 1);
 
     let (root, r_log) = S::new(vec![Syscall::MqUnlink {
         name: "/owned".into(),

@@ -364,6 +364,9 @@ fn setuid_root_only() {
         replies(&user_log),
         vec![Reply::Err(LinuxError::NotPermitted)]
     );
+    // The refusal is one access_denied and one denial event.
+    assert_eq!(k.metrics().access_denied, 1);
+    assert_eq!(k.events().denials(), k.metrics().access_denied);
 }
 
 #[test]

@@ -62,6 +62,21 @@ pub enum MinixEvent {
         /// Why the matrix refused it.
         reason: DenyReason,
     },
+    /// PM refused to grant rights the delegating caller does not hold.
+    DelegateDeny {
+        /// Sending side of the requested channel.
+        sub_ac: AcId,
+        /// Receiving side of the requested channel.
+        dst_ac: AcId,
+        /// What the caller's own `caller → dst_ac` row lacks.
+        reason: DenyReason,
+    },
+    /// PM refused a kill: the target is PM itself or belongs to another
+    /// user.
+    KillDeny {
+        /// The endpoint the caller tried to kill.
+        target: Endpoint,
+    },
     /// A syscall quota was exhausted.
     QuotaDeny {
         /// The charged identity.
@@ -132,7 +147,8 @@ impl EventDetail for MinixEvent {
             MinixEvent::PmKill { .. } => EventKind::PmKill,
             MinixEvent::IpcDeliver { .. } => EventKind::IpcDeliver,
             MinixEvent::DevWrite { .. } => EventKind::DevWrite,
-            MinixEvent::AcmDeny { .. } => EventKind::AcmDeny,
+            MinixEvent::AcmDeny { .. } | MinixEvent::DelegateDeny { .. } => EventKind::AcmDeny,
+            MinixEvent::KillDeny { .. } => EventKind::SignalDeny,
             MinixEvent::QuotaDeny { .. } => EventKind::QuotaDeny,
             MinixEvent::DevDeny { .. } => EventKind::DevDeny,
             MinixEvent::GrantDeny { .. } => EventKind::GrantDeny,
@@ -161,6 +177,15 @@ impl fmt::Display for MinixEvent {
                 mtype,
                 reason,
             } => write!(f, "{src_ac} -> {dst_ac} m{mtype}: {reason}"),
+            MinixEvent::DelegateDeny {
+                sub_ac,
+                dst_ac,
+                reason,
+            } => write!(
+                f,
+                "delegate {sub_ac} -> {dst_ac}: caller lacks the rights ({reason})"
+            ),
+            MinixEvent::KillDeny { target } => write!(f, "may not kill {target}"),
             MinixEvent::QuotaDeny { ac, class } => write!(f, "{ac} {class} quota exhausted"),
             MinixEvent::DevDeny { dev, ac } => write!(f, "{dev} not owned by {ac}"),
             MinixEvent::GrantDeny {

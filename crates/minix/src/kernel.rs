@@ -16,7 +16,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bas_acm::{
-    AcId, AccessControlMatrix, DelegationLog, MsgType, MsgTypeSet, QuotaTable, SyscallClass,
+    AcId, AccessControlMatrix, DelegationLog, DenyReason, MsgType, MsgTypeSet, QuotaTable,
+    SyscallClass,
 };
 use bas_sim::arena::{MsgArena, MsgRef};
 use bas_sim::caps::{CapChurnOp, CapLog, CapOp, CapTrace, ChurnKind};
@@ -29,7 +30,7 @@ use bas_sim::sched::RunQueue;
 use bas_sim::time::SimDuration;
 use bas_sim::time::SimTime;
 use bas_sim::timer::TimerQueue;
-use bas_sim::trace::{EventKind, Recorder};
+use bas_sim::trace::{EventDetail, EventKind, Recorder};
 
 use crate::endpoint::Endpoint;
 use crate::error::MinixError;
@@ -822,9 +823,8 @@ impl MinixKernel {
             }
             Err(err) => {
                 if matches!(err, GrantError::NotGrantee | GrantError::PermissionDenied) {
-                    self.metrics.access_denied += 1;
-                    self.record(
-                        Some(caller),
+                    self.deny(
+                        caller,
                         MinixEvent::GrantDeny {
                             granter,
                             grant,
@@ -842,13 +842,19 @@ impl MinixKernel {
             return;
         };
         if self.device_owners.get(&dev) != Some(&ac) {
-            self.metrics.access_denied += 1;
-            self.record(Some(pid), MinixEvent::DevDeny { dev, ac });
+            self.deny(pid, MinixEvent::DevDeny { dev, ac });
             self.ready_with(pid, Reply::Err(MinixError::DeviceAccessDenied));
             return;
         }
         if let Some(value) = write {
             if self.quotas.charge(ac, SyscallClass::DeviceWrite).is_err() {
+                self.deny(
+                    pid,
+                    MinixEvent::QuotaDeny {
+                        ac,
+                        class: SyscallClass::DeviceWrite,
+                    },
+                );
                 self.ready_with(pid, Reply::Err(MinixError::QuotaExceeded));
                 return;
             }
@@ -930,9 +936,8 @@ impl MinixKernel {
             }
         }
         if let Some(reason) = decision.deny_reason() {
-            self.metrics.access_denied += 1;
-            self.record(
-                Some(caller),
+            self.deny(
+                caller,
                 MinixEvent::AcmDeny {
                     src_ac: caller_ac,
                     dst_ac: dest_ac,
@@ -946,9 +951,8 @@ impl MinixKernel {
 
         // 3. Optional send quota (flooding bound).
         if self.quotas.charge(caller_ac, SyscallClass::Send).is_err() {
-            self.metrics.access_denied += 1;
-            self.record(
-                Some(caller),
+            self.deny(
+                caller,
                 MinixEvent::QuotaDeny {
                     ac: caller_ac,
                     class: SyscallClass::Send,
@@ -1154,9 +1158,8 @@ impl MinixKernel {
             .check(caller_ac, dest_ac, MsgType::new(pm::NOTIFY_MTYPE))
             .deny_reason()
         {
-            self.metrics.access_denied += 1;
-            self.record(
-                Some(caller),
+            self.deny(
+                caller,
                 MinixEvent::AcmDeny {
                     src_ac: caller_ac,
                     dst_ac: dest_ac,
@@ -1234,6 +1237,15 @@ impl MinixKernel {
         self.ready_with(dest, Reply::Msg(Message::new(source, mtype, payload)));
     }
 
+    /// Records a refusal: one `access_denied` and one denial event,
+    /// always together, so the denial kinds' counts sum to
+    /// `access_denied`. The caller sends the error reply.
+    fn deny(&mut self, pid: Pid, detail: MinixEvent) {
+        debug_assert!(detail.kind().is_denial(), "{detail} is not a denial");
+        self.metrics.access_denied += 1;
+        self.record(Some(pid), detail);
+    }
+
     fn record(&mut self, pid: Option<Pid>, detail: MinixEvent) {
         self.events.record(self.clock.now(), pid, detail);
     }
@@ -1258,8 +1270,8 @@ impl MinixKernel {
         match mtype {
             pm::PM_FORK2 | pm::PM_SRV_FORK2 => {
                 if self.quotas.charge(caller_ac, SyscallClass::Fork).is_err() {
-                    self.record(
-                        Some(caller),
+                    self.deny(
+                        caller,
                         MinixEvent::QuotaDeny {
                             ac: caller_ac,
                             class: SyscallClass::Fork,
@@ -1289,9 +1301,17 @@ impl MinixKernel {
             pm::PM_KILL => {
                 let target = pm::decode_kill(&payload);
                 if target == pm::PM_ENDPOINT {
+                    self.deny(caller, MinixEvent::KillDeny { target });
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
                 if self.quotas.charge(caller_ac, SyscallClass::Kill).is_err() {
+                    self.deny(
+                        caller,
+                        MinixEvent::QuotaDeny {
+                            ac: caller_ac,
+                            class: SyscallClass::Kill,
+                        },
+                    );
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::QuotaExceeded)));
                 }
                 let Some(target_pid) = self.lookup_live(target) else {
@@ -1302,6 +1322,7 @@ impl MinixKernel {
                 // addition to* the ACM having allowed the KILL message type
                 // at all.
                 if caller_uid != 0 && caller_uid != target_uid {
+                    self.deny(caller, MinixEvent::KillDeny { target });
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
                 self.record(Some(caller), MinixEvent::PmKill { target });
@@ -1340,12 +1361,20 @@ impl MinixKernel {
                     .map(|e| e.pcb.name.clone())
                     .unwrap_or_else(|| format!("{caller_ep}"));
                 if kind == ChurnKind::Grant && caller_ac != pm::PM_AC_ID {
-                    let own = self
-                        .acm
-                        .channel(caller_ac, dst_ac)
-                        .unwrap_or(MsgTypeSet::EMPTY);
-                    if types.intersect(own) != types {
-                        self.metrics.access_denied += 1;
+                    let own = self.acm.channel(caller_ac, dst_ac);
+                    if types.intersect(own.unwrap_or(MsgTypeSet::EMPTY)) != types {
+                        let reason = match own {
+                            None => DenyReason::NoChannel,
+                            Some(_) => DenyReason::TypeNotAllowed,
+                        };
+                        self.deny(
+                            caller,
+                            MinixEvent::DelegateDeny {
+                                sub_ac,
+                                dst_ac,
+                                reason,
+                            },
+                        );
                         return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                     }
                 }

@@ -10,6 +10,7 @@ use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::caps::{CapChurnOp, CapOp, ChurnKind};
 use bas_sim::clock::CostModel;
+use bas_sim::trace::EventKind;
 
 const TX: AcId = AcId::new(10);
 const RX: AcId = AcId::new(11);
@@ -251,4 +252,8 @@ fn pm_delegate_rpc_is_bounded_by_grantor_authority() {
     assert!(!k.acm().check(RX, RX, MsgType::new(9)).is_allowed());
     assert_eq!(k.delegations().records.len(), 1);
     assert_eq!(k.delegations().records[0].grantor, TX);
+    // The refused delegation is one access_denied and one denial event.
+    assert_eq!(k.metrics().access_denied, 1);
+    assert_eq!(k.event_count(EventKind::AcmDeny), 1);
+    assert_eq!(k.events().denials(), k.metrics().access_denied);
 }

@@ -32,6 +32,17 @@ fn pm_acm(kill_for_loader: bool) -> AccessControlMatrix {
     pm::allow_pm_ops(b, WEB, [PM_FORK2]).build()
 }
 
+/// Every refusal is one `access_denied` and one denial event: the
+/// denial kinds' counts sum to the counter, which is `expected`.
+fn assert_denials_match_access_denied(k: &MinixKernel, expected: u64) {
+    assert_eq!(k.metrics().access_denied, expected, "access_denied");
+    assert_eq!(
+        k.events().denials(),
+        k.metrics().access_denied,
+        "denial events vs access_denied"
+    );
+}
+
 #[test]
 fn fork2_loads_registered_program_with_given_ac_id() {
     let mut k = MinixKernel::new(MinixConfig {
@@ -139,6 +150,7 @@ fn kill_allowed_by_acm_still_needs_uid_permission() {
     assert_eq!(msg.mtype, PM_ERR);
     assert_eq!(decode_err(&msg.payload), Some(MinixError::PermissionDenied));
     assert!(k.is_alive(victim));
+    assert_denials_match_access_denied(&k, 1);
 }
 
 #[test]
@@ -185,6 +197,7 @@ fn pm_itself_cannot_be_killed() {
     k.run_to_quiescence();
     let msg = *collected_replies(&log)[0].message().unwrap();
     assert_eq!(decode_err(&msg.payload), Some(MinixError::PermissionDenied));
+    assert_denials_match_access_denied(&k, 1);
 }
 
 #[test]
@@ -317,6 +330,7 @@ fn fork_quota_contains_fork_bomb() {
     assert_eq!(ok, 2, "only the quota'd forks succeed");
     assert_eq!(quota_errors, 8);
     assert_eq!(k.event_count(EventKind::QuotaDeny), 8);
+    assert_denials_match_access_denied(&k, 8);
 }
 
 #[test]

@@ -67,6 +67,7 @@ fn send_without_write_right_denied() {
         vec![Reply::Err(Sel4Error::InsufficientRights)]
     );
     assert_eq!(k.metrics().access_denied, 1);
+    assert_eq!(k.event_count(EventKind::CapDeny), 1);
 }
 
 #[test]

@@ -64,7 +64,8 @@ pub enum EventKind {
     AcmDeny,
     /// A capability lookup or rights check refused an invocation.
     CapDeny,
-    /// Discretionary access control refused an open or device access.
+    /// Discretionary access control refused an open, an unlink, a device
+    /// access or a `setuid`.
     DacDeny,
     /// A syscall quota was exhausted.
     QuotaDeny,
@@ -72,7 +73,7 @@ pub enum EventKind {
     DevDeny,
     /// A memory-grant access was refused.
     GrantDeny,
-    /// A signal was refused by the permission check.
+    /// A kill or signal was refused by the permission check.
     SignalDeny,
     /// Runtime capability churn changed a right.
     CapChurn,
