@@ -207,12 +207,25 @@ fn main() {
         hot_wall,
         hot_rate / 1e6
     );
-    // The same run with the recorder off prices the recorder itself.
-    let (bare_wall, _) = ipc_hot_path(hot_messages, false);
-    let bare_rate = hot_messages as f64 / bare_wall.max(1e-9);
-    let recorder_overhead = hot_wall / bare_wall.max(1e-9) - 1.0;
+    // Price the recorder itself: alternate recorder-on and recorder-off
+    // runs on the now-warm path and compare their median wall times.
+    const OVERHEAD_PAIRS: usize = 5;
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for _ in 0..OVERHEAD_PAIRS {
+        on.push(ipc_hot_path(hot_messages, true).0);
+        off.push(ipc_hot_path(hot_messages, false).0);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (on_wall, off_wall) = (median(&mut on), median(&mut off));
+    let bare_rate = hot_messages as f64 / off_wall.max(1e-9);
+    let recorder_overhead = on_wall / off_wall.max(1e-9) - 1.0;
     println!(
-        "recorder off: {:.2}M msg/s; recorder overhead on the hot path: {:+.1}%",
+        "recorder on vs off, median of {OVERHEAD_PAIRS} alternating runs each: {:.2}M vs {:.2}M msg/s; \
+         recorder overhead on the hot path: {:+.1}%",
+        hot_messages as f64 / on_wall.max(1e-9) / 1e6,
         bare_rate / 1e6,
         recorder_overhead * 100.0
     );

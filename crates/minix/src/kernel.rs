@@ -231,7 +231,7 @@ impl MinixKernel {
             logic: Some(logic),
             pending_reply: None,
         });
-        self.names.insert(name.clone(), endpoint);
+        self.names.insert(name, endpoint);
         self.run_queue.enqueue(pid);
         self.metrics.processes_created += 1;
         self.record(
