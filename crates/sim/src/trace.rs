@@ -30,7 +30,7 @@ use crate::time::SimTime;
 pub const RING_LEN: usize = 256;
 
 /// The category of a kernel event: what the per-kind counters count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A rendezvous IPC message reached its receiver.
     IpcDeliver,
@@ -231,7 +231,7 @@ impl<E: EventDetail> fmt::Display for KernelEvent<E> {
 /// assert_eq!(rec.count(EventKind::ProcSpawn), 1);
 /// assert_eq!(rec.recent().count(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Recorder<E> {
     counts: [u64; EventKind::COUNT],
     ring: Vec<KernelEvent<E>>,
